@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from kmpoly import (Dataset, SieveConfig, conjugate_fit, eval_f,
-                    fit_sieve_mle, sieve_K)
+from kmpoly import (Dataset, SieveConfig, choose_Kn, conjugate_fit, eval_f,
+                    fit_sieve_mle)
 
 rng = np.random.default_rng(4)
 n = 600
@@ -24,7 +24,7 @@ data = Dataset(x[:, None], y)
 grid = np.linspace(0.0, 1.0, 301)
 f0g = np.sin(2 * math.pi * grid) + 0.5 * grid
 
-K = sieve_K(n, alpha=1.0, p=1)
+K = choose_Kn(n, alpha=1.0, p=1)
 print(f"sieve rule: K = ceil((n/log n)^(1/(2*alpha+p))) = {K}")
 fit = fit_sieve_mle(data, SieveConfig(K=K, multistart=3),
                     np.random.default_rng(0))

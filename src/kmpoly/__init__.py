@@ -14,10 +14,10 @@ from .fixed_design import (ConjugatePosterior, choose_Kn, conjugate_fit,
                            empirical_l2, fixed_design_params)
 from .harness import (CoverageReport, ScenarioSpec, run_benchmark,
                       run_coverage, truth_plm_eta, truth_volterra)
-from .plm import BvmDiagnostic, PlmParams, bvm_diagnostic, gibbs_beta, run_plm_chain
+from .plm import BvmDiagnostic, bvm_diagnostic, gibbs_beta, run_plm_chain
 from .priors import PriorConfig, log_prior_density, prior_K_tail, sample_prior
 from .sampler import McmcConfig, PosteriorDraws, loglik, run_chain
-from .sieve import SieveConfig, SieveFit, fit_sieve_mle, sieve_K, solve_xi_box
+from .sieve import SieveConfig, SieveFit, fit_sieve_mle, solve_xi_box
 from .summaries import (CredibleSummary, DicReport, dic, dic_parts,
                         l2_credible_set, pointwise_band, predict, select_K)
 
@@ -27,16 +27,15 @@ __all__ = [
     "BvmDiagnostic", "ConjugatePosterior", "CoverageReport",
     "CredibleSummary", "Dataset", "DicReport", "GpConfig", "GpFit",
     "KERNEL_FAMILIES", "KernelSpec", "KmpParams", "LocalFitConfig",
-    "McmcConfig", "MultiIndexSet", "PartitionGrid", "PlmParams",
-    "PosteriorDraws", "PriorConfig", "ScenarioSpec", "SieveConfig",
-    "SieveFit", "basis_matrix", "bvm_diagnostic", "choose_Kn",
+    "McmcConfig", "MultiIndexSet", "PartitionGrid", "PosteriorDraws",
+    "PriorConfig", "ScenarioSpec", "SieveConfig", "SieveFit", "basis_matrix", "bvm_diagnostic", "choose_Kn",
     "conjugate_fit", "dic", "dic_parts", "empirical_l2", "eval_basis",
     "eval_f", "eval_kernel", "fit_sieve_mle", "fixed_design_params",
     "gibbs_beta", "gp_covariance", "l2_credible_set", "load_csv",
     "local_poly_estimate", "log_prior_density", "loglik", "mixture_weights",
     "nw_estimate", "pointwise_band", "predict", "prior_K_tail",
     "rescaled_gp_fit", "run_benchmark", "run_chain", "run_coverage",
-    "run_plm_chain", "sample_prior", "save_csv", "select_K", "sieve_K",
+    "run_plm_chain", "sample_prior", "save_csv", "select_K",
     "solve_xi_box", "taylor_project", "truth_plm_eta", "truth_volterra",
     "wage_preprocess", "__version__",
 ]

@@ -124,7 +124,6 @@ class GpConfig:
     a_psi: float = 2.0
     b_psi: float = 2.0
     sigma: float = 0.1         # noise sd, known per experiment
-    estimate_sigma: bool = False
     burnin: int = 1000
     samples: int = 1000
     seed: int = 0
@@ -165,10 +164,14 @@ def gp_marginal_loglik(y, dist, cfg: GpConfig, psi, sigma=None):
     n = y.shape[0]
     C = _cov_value(cfg.covariance, dist, psi)
     C = C + (sigma**2 + cfg.jitter) * np.eye(n)
-    low = cholesky(C, lower=True)
+    return _chol_loglik(y, cholesky(C, lower=True))
+
+
+def _chol_loglik(y, low):
+    """Gaussian log-likelihood of y given the Cholesky factor of its covariance."""
     alpha = solve_triangular(low, y, lower=True)
-    return float(-0.5 * alpha @ alpha - np.sum(np.log(np.diag(low)))
-                 - 0.5 * n * math.log(2 * math.pi))
+    return float(-0.5 * float(alpha @ alpha) - np.sum(np.log(np.diag(low)))
+                 - 0.5 * y.shape[0] * math.log(2 * math.pi))
 
 
 @dataclass
@@ -216,11 +219,8 @@ def rescaled_gp_fit(data, cfg: GpConfig, xgrid, level=0.95) -> GpFit:
         raise np.linalg.LinAlgError("covariance factorization failed at max jitter")
 
     def log_target(psi, low):
-        alpha = solve_triangular(low, y, lower=True)
-        ll = (-0.5 * float(alpha @ alpha) - np.sum(np.log(np.diag(low)))
-              - 0.5 * n * math.log(2 * math.pi))
         log_prior = -(cfg.a_psi + 1.0) * math.log(psi) - cfg.b_psi / psi
-        return ll + log_prior
+        return _chol_loglik(y, low) + log_prior
 
     theta = math.log(cfg.psi_init)
     low = factorize(math.exp(theta))

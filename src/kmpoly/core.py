@@ -104,27 +104,30 @@ class KernelSpec:
         """Univariate profile at radii t >= 0, zero for t >= 1."""
         t = np.asarray(t, dtype=float)
         inside = t < 1.0
-        out = np.zeros_like(t)
         if self.family == "bump":
-            ts = np.where(inside, t, 0.0)
-            out = np.where(inside, np.exp(-1.0 / (1.0 - ts**2)), 0.0)
-        elif self.family == "triangle":
-            out = np.where(inside, 1.0 - t, 0.0)
-        else:  # epanechnikov
-            out = np.where(inside, 1.0 - t**2, 0.0)
-        return out
+            # exponentiate only inside the support
+            out = np.zeros(t.shape)
+            out[inside] = np.exp(_bump_log(t[inside]))
+            return out
+        if self.family == "triangle":
+            return np.where(inside, 1.0 - t, 0.0)
+        return np.where(inside, 1.0 - t**2, 0.0)  # epanechnikov
 
     def log_profile(self, t):
         """log profile, -inf outside the support; stable for the bump family."""
         t = np.asarray(t, dtype=float)
         inside = t < 1.0
+        if self.family == "bump":
+            out = np.full(t.shape, -np.inf)
+            out[inside] = _bump_log(t[inside])
+            return out
         with np.errstate(divide="ignore"):
-            if self.family == "bump":
-                ts = np.where(inside, t, 0.0)
-                out = np.where(inside, -1.0 / (1.0 - ts**2), -np.inf)
-            else:
-                out = np.where(inside, np.log(self.profile(np.minimum(t, 1.0))), -np.inf)
-        return out
+            return np.where(inside, np.log(self.profile(np.minimum(t, 1.0))), -np.inf)
+
+
+def _bump_log(t):
+    """log of the bump profile exp(-1 / (1 - t^2)) at radii t < 1."""
+    return -1.0 / (1.0 - t * t)
 
 
 def eval_kernel(spec: KernelSpec, v):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -11,9 +12,23 @@ import numpy as np
 from .io_utils import atomic_write
 
 
+def _require_finite(values, role, names):
+    """Raise on the first NaN or infinity of a 2-D array, naming its cell."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        col = names[j] if j < len(names) else j
+        raise ValueError(f"non-finite {role} value {values[i, j]} "
+                         f"at row {i}, column {col!r}")
+
+
 @dataclass
 class Dataset:
-    """Design points x in [0, 1]^p, optional linear covariates z, responses y."""
+    """Design points x in [0, 1]^p, optional linear covariates z, responses y.
+
+    NaN and infinite entries are rejected with their role, row (0-based)
+    and column.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -32,16 +47,19 @@ class Dataset:
         n = self.y.shape[0]
         if self.x.shape[0] != n:
             raise ValueError("x and y row counts differ")
+        if not self.x_names:
+            self.x_names = [f"x{j+1}" for j in range(self.p)]
+        _require_finite(self.x, "x", self.x_names)
+        _require_finite(self.y[:, None], "y", [self.y_name])
         if np.any(self.x < 0.0) or np.any(self.x > 1.0):
             raise ValueError("design points must lie in [0, 1]^p")
         if self.z is not None:
             self.z = np.atleast_2d(np.asarray(self.z, dtype=float))
             if self.z.shape[0] != n:
                 raise ValueError("z and y row counts differ")
-        if not self.x_names:
-            self.x_names = [f"x{j+1}" for j in range(self.p)]
-        if self.z is not None and not self.z_names:
-            self.z_names = [f"z{j+1}" for j in range(self.q)]
+            if not self.z_names:
+                self.z_names = [f"z{j+1}" for j in range(self.q)]
+            _require_finite(self.z, "z", self.z_names)
 
     @property
     def n(self):
@@ -56,11 +74,14 @@ class Dataset:
         return 0 if self.z is None else self.z.shape[1]
 
 
-def _parse_cell(text, row, col):
+def _parse_cell(text, row, col, role):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"non-numeric cell {text!r} at row {row}, column {col!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {role} cell {text!r} at row {row}, column {col!r}")
+    return value
 
 
 def load_csv(path, schema) -> Dataset:
@@ -68,7 +89,8 @@ def load_csv(path, schema) -> Dataset:
 
     ``schema`` maps roles to column names: {"x": [...], "y": "col"} and
     optionally "z": [...].  Parsing is strict: a missing column or a
-    non-numeric cell raises with its location.
+    non-numeric or non-finite cell raises with its location (rows count
+    file lines, the header being row 1).
     """
     x_cols = list(schema["x"])
     z_cols = list(schema.get("z", []))
@@ -82,10 +104,10 @@ def load_csv(path, schema) -> Dataset:
                 raise ValueError(f"{path}: missing column {col!r}")
         xs, zs, ys = [], [], []
         for i, row in enumerate(reader, start=2):  # header is line 1
-            xs.append([_parse_cell(row[c], i, c) for c in x_cols])
+            xs.append([_parse_cell(row[c], i, c, "x") for c in x_cols])
             if z_cols:
-                zs.append([_parse_cell(row[c], i, c) for c in z_cols])
-            ys.append(_parse_cell(row[y_col], i, y_col))
+                zs.append([_parse_cell(row[c], i, c, "z") for c in z_cols])
+            ys.append(_parse_cell(row[y_col], i, y_col, "y"))
     if not ys:
         raise ValueError(f"{path}: no data rows")
     return Dataset(

@@ -8,27 +8,18 @@ at one; a practical mode resamples it (needed for real data).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .core import KmpParams
-from .priors import PriorConfig, log_prior_density, sample_prior
-from .sampler import (ChainState, McmcConfig, PosteriorDraws, gibbs_sigma,
-                      gibbs_xi, mh_h, mh_mu)
-
-
-@dataclass
-class PlmParams:
-    """Linear coefficients plus the nonparametric component."""
-
-    beta: np.ndarray
-    eta: KmpParams
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float).ravel()
+from .priors import PriorConfig
+from .sampler import McmcConfig, PosteriorDraws, _initial_state, _run_sweeps
+# not called here, but perfbench/spans.py wraps the sweep steps under these
+# names in this module as well
+from .sampler import gibbs_sigma, gibbs_xi, mh_h, mh_mu  # noqa: F401
 
 
 @dataclass
@@ -60,7 +51,7 @@ def beta_conditional(data, eta_curve, tau_beta, sigma=1.0):
     return mean, low
 
 
-def gibbs_beta(beta, data, eta_curve, tau_beta, rng, sigma=1.0):
+def gibbs_beta(data, eta_curve, tau_beta, rng, sigma=1.0):
     """Exact conjugate Gaussian draw of beta given everything else."""
     mean, low = beta_conditional(data, eta_curve, tau_beta, sigma)
     z = rng.standard_normal(mean.shape[0])
@@ -71,72 +62,34 @@ def run_plm_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
                   estimate_sigma=False) -> PosteriorDraws:
     """Joint chain over (beta, eta); deterministic given the seed.
 
-    One sweep draws beta from its exact conditional, then runs the
-    standard eta sweep against the residuals y - Z beta.  With
-    ``estimate_sigma`` false, sigma stays fixed at one.
+    Each sweep of the shared sampler loop first draws beta from its exact
+    conditional, then runs the standard eta steps against the residuals
+    y - Z beta.  With ``estimate_sigma`` false, sigma stays fixed at one.
+    PLM chains never adapt their step sizes: ``cfg.adapt`` is ignored.
     """
     if data.z is None:
         raise ValueError("partial linear model needs z covariates")
     rng = np.random.default_rng(cfg.seed)
-    q = data.z.shape[1]
-    eta = sample_prior(prior, K, rng, p=data.p)
+    tau = prior.tau_beta
+    # the prior's normalizing constant is the same for every draw
+    log_norm = -0.5 * data.z.shape[1] * math.log(2 * math.pi * tau**2)
+    sub = _ResidData(data.x, data.y.copy())
+    state = _initial_state(cfg, prior, K, sub, rng)
     if not estimate_sigma:
-        eta.sigma = 1.0
-    beta = np.zeros(q)
-    sub = _ResidData(data.x, data.y - data.z @ beta)
-    state = ChainState(eta, sub, prior)
-    if cfg.init == "lsq":
-        from .sieve import solve_xi_box
+        state.params.sigma = 1.0
 
-        xi = solve_xi_box(sub.y, state.psi, prior.B)
-        state.params.xi[:] = xi.reshape(state.params.xi.shape)
-        state.resid = sub.y - state.psi @ xi
-
-    step_mu, step_kh = prior.step_mu, prior.step_kh
-    total = cfg.burnin + cfg.samples * cfg.thin
-    draws, betas, lls, lps = [], [], [], []
-    mu_prop = mu_acc = h_prop = h_acc = 0
-    for it in range(total):
+    def beta_block(state, rng):
         eta_vals = state.psi @ state.params.xi.ravel()
-        beta = gibbs_beta(beta, data, eta_vals, prior.tau_beta,
-                          rng, state.params.sigma)
-        new_y = data.y - data.z @ beta
-        state.data.y = new_y
-        state.resid = new_y - eta_vals
-        gibbs_xi(state, rng)
-        if cfg.sample_mu and step_mu > 0:
-            _, acc = mh_mu(state, rng, step_mu)
-            mu_prop += state.params.grid.n_blocks
-            mu_acc += acc
-        if cfg.sample_h and step_kh > 0:
-            _, acc = mh_h(state, rng, step_kh)
-            h_prop += 1
-            h_acc += acc
-        if estimate_sigma and cfg.sample_sigma:
-            gibbs_sigma(state, rng)
-        if it >= cfg.burnin and (it - cfg.burnin + 1) % cfg.thin == 0:
-            snap = state.params.copy()
-            sigma = snap.sigma
-            n = data.n
-            ll = float(-0.5 * n * math.log(2 * math.pi * sigma**2)
-                       - 0.5 * float(state.resid @ state.resid) / sigma**2)
-            lp = (ll + log_prior_density(prior, snap)
-                  - 0.5 * float(beta @ beta) / prior.tau_beta**2
-                  - 0.5 * q * math.log(2 * math.pi * prior.tau_beta**2))
-            if not np.isfinite(lp):
-                raise FloatingPointError(f"non-finite log-posterior at sweep {it}")
-            draws.append(snap)
-            betas.append(beta.copy())
-            lls.append(ll)
-            lps.append(lp)
-    accept = {
-        "mu": mu_acc / mu_prop if mu_prop else None,
-        "h": h_acc / h_prop if h_prop else None,
-        "xi_fallbacks": state.xi_fallbacks,
-    }
-    return PosteriorDraws(draws, np.array(lls), np.array(lps), accept, K,
-                          beta=np.array(betas),
-                          meta={"model": "plm", "sigma_fixed": not estimate_sigma})
+        beta = gibbs_beta(data, eta_vals, tau, rng, state.params.sigma)
+        sub.y = data.y - data.z @ beta
+        state.resid = sub.y - eta_vals
+        return beta, (-0.5 * float(beta @ beta) / tau**2, log_norm)
+
+    cfg = dataclasses.replace(cfg, adapt=False,
+                              sample_sigma=cfg.sample_sigma and estimate_sigma)
+    draws = _run_sweeps(cfg, prior, K, state, rng, pre_step=beta_block)
+    draws.meta = {"model": "plm", "sigma_fixed": not estimate_sigma}
+    return draws
 
 
 @dataclass

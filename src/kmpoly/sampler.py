@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
-from .core import KmpParams, _check_points, eval_f, monomial_tensor
+from .core import (KmpParams, _check_points, eval_f, monomial_tensor,
+                   weights_from_radii)
 from .priors import PriorConfig, log_prior_density, sample_prior
 
 
@@ -77,39 +78,19 @@ class ChainState:
         """Sup-norm distances from every design point to every center."""
         return np.max(np.abs(self._x[:, None, :] - mu[None, :, :]), axis=-1)
 
-    def _kern(self, r):
-        """Raw kernel values on radii: log scale for bump, linear otherwise."""
-        if self.params.kernel == "bump":
-            out = np.full(r.shape, -np.inf)
-            inside = r < 1.0
-            ri = r[inside]
-            out[inside] = -1.0 / (1.0 - ri * ri)
-            return out
-        from .core import KernelSpec
-
-        return KernelSpec(self.params.kernel, 1.0).profile(r)
-
-    def _psi_from_kern(self, kern):
-        """Weights (rescaled by the row max, so no underflow) times monomials."""
-        rowmax = np.max(kern, axis=1, keepdims=True)
-        if self.params.kernel == "bump":
-            if not np.all(np.isfinite(rowmax)):
-                raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-            w = np.exp(kern - rowmax)
-        else:
-            if not np.all(rowmax > 0):
-                raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-            w = kern
-        w = w / np.sum(w, axis=1, keepdims=True)
+    def set_basis(self, r):
+        """Rebuild psi and its squared column norms from radii r = dist/h."""
+        w = weights_from_radii(self.params.kernel, r)
         n, nb, n_s = self.mono.shape
-        return (w[:, :, None] * self.mono).reshape(n, nb * n_s)
+        self.psi = (w[:, :, None] * self.mono).reshape(n, nb * n_s)
+        self.col_sq = np.einsum("ij,ij->j", self.psi, self.psi)
 
     def refresh(self):
         """Recompute every cache from the current parameters."""
         self.dist = self._dist_to(self.params.mu)
-        self.phi = self.params.spec.profile(self.dist / self.params.h)
-        self.psi = self._psi_from_kern(self._kern(self.dist / self.params.h))
-        self.col_sq = np.einsum("ij,ij->j", self.psi, self.psi)
+        r = self.dist / self.params.h
+        self.phi = self.params.spec.profile(r)
+        self.set_basis(r)
         self.resid = self.data.y - self.psi @ self.params.xi.ravel()
 
     def loglik(self) -> float:
@@ -192,15 +173,7 @@ def mh_mu(state: ChainState, rng, step: float):
             prop = reflect(mt_k + step * rng.normal(size=grid.p), -1.0, 1.0)
             new_mu_k = centers[k] + prop / (2.0 * K)
             col = np.max(np.abs(x - new_mu_k[None, :]), axis=-1)
-        if params.kernel == "bump":
-            # exponentiate only inside the kernel support
-            t = col * inv_h
-            inside = t < 1.0
-            phi_new = np.zeros(t.shape[0])
-            ti = t[inside]
-            phi_new[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-        else:
-            phi_new = spec.profile(col * inv_h)
+        phi_new = spec.profile(col * inv_h)
         S_new = S - phi[:, k] + phi_new
         numer_new = numer + (phi_new - phi[:, k]) * poly[:, k]
         with np.errstate(divide="raise", invalid="raise"):
@@ -221,8 +194,7 @@ def mh_mu(state: ChainState, rng, step: float):
         state.params = KmpParams(grid, params.h, mu, params.xi, sigma,
                                  params.m, params.kernel)
         state.dist = dist
-        state.psi = state._psi_from_kern(state._kern(dist / params.h))
-        state.col_sq = np.einsum("ij,ij->j", state.psi, state.psi)
+        state.set_basis(dist / params.h)
         state.resid = resid
     return state, accepted
 
@@ -240,12 +212,10 @@ def mh_h(state: ChainState, rng, step: float):
     kh = K * params.h + step * rng.normal()
     kh = float(reflect(kh, cfg.h_lo, cfg.h_hi))
     h_new = kh / K
+    # the radius arithmetic differs by family; both forms are kept so that
+    # draws stay reproducible for a fixed seed
     if params.kernel == "bump":
-        t = state.dist * (1.0 / h_new)
-        inside = t < 1.0
-        phi_new = np.zeros(t.shape)
-        ti = t[inside]
-        phi_new[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+        phi_new = params.spec.profile(state.dist * (1.0 / h_new))
     else:
         phi_new = params.spec.profile(state.dist / h_new)
     S = phi_new.sum(axis=1)
@@ -258,8 +228,7 @@ def mh_h(state: ChainState, rng, step: float):
         state.params = KmpParams(params.grid, h_new, params.mu, params.xi,
                                  params.sigma, params.m, params.kernel)
         state.phi = phi_new
-        state.psi = state._psi_from_kern(state._kern(state.dist / h_new))
-        state.col_sq = np.einsum("ij,ij->j", state.psi, state.psi)
+        state.set_basis(state.dist / h_new)
         state.resid = resid
         return state, 1
     return state, 0
@@ -336,14 +305,29 @@ def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
         state = ChainState(init_params.copy(), data, prior)
     else:
         state = _initial_state(cfg, prior, K, data, rng)
+    return _run_sweeps(cfg, prior, K, state, rng)
+
+
+def _run_sweeps(cfg: McmcConfig, prior: PriorConfig, K: int, state: ChainState,
+                rng, pre_step=None) -> PosteriorDraws:
+    """The sweep loop shared by every chain: steps, adaptation, snapshots.
+
+    ``pre_step(state, rng)``, if given, runs at the top of every sweep and
+    returns ``(extra, log_prior_terms)``: ``extra`` is recorded with each
+    retained draw (as ``PosteriorDraws.beta``) and the terms are added, in
+    order, to its log-posterior.
+    """
     step_mu, step_kh = prior.step_mu, prior.step_kh
     total = cfg.burnin + cfg.samples * cfg.thin
-    draws, lls, lps = [], [], []
+    draws, extras, lls, lps = [], [], [], []
     mu_prop = mu_acc = h_prop = h_acc = 0
     win_mu = [0, 0]
     win_h = [0, 0]
+    extra, extra_lp = None, ()
     for it in range(total):
         in_burnin = it < cfg.burnin
+        if pre_step is not None:
+            extra, extra_lp = pre_step(state, rng)
         gibbs_xi(state, rng)
         if cfg.sample_mu and step_mu > 0:
             _, acc = mh_mu(state, rng, step_mu)
@@ -376,10 +360,13 @@ def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
             snap = state.params.copy()
             ll = state.loglik()
             lp = ll + log_prior_density(prior, snap)
+            for term in extra_lp:
+                lp += term
             if not np.isfinite(lp):
                 raise FloatingPointError(
                     f"non-finite log-posterior at iteration {it}: loglik={ll}")
             draws.append(snap)
+            extras.append(extra)
             lls.append(ll)
             lps.append(lp)
     accept = {
@@ -389,4 +376,5 @@ def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
         "final_step_mu": step_mu,
         "final_step_kh": step_kh,
     }
-    return PosteriorDraws(draws, np.array(lls), np.array(lps), accept, K)
+    return PosteriorDraws(draws, np.array(lls), np.array(lps), accept, K,
+                          beta=np.array(extras) if pre_step is not None else None)

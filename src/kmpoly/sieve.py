@@ -16,6 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from .core import KmpParams, MultiIndexSet, PartitionGrid, basis_matrix
+from .fixed_design import choose_Kn
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -101,13 +102,6 @@ class SieveConfig:
             raise ValueError("need tol > 0 and multistart >= 1")
 
 
-def sieve_K(n, alpha, p):
-    """The sieve size rule ceil((n / log n)^(1/(2 alpha + p)))."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return int(math.ceil((n / math.log(n)) ** (1.0 / (2.0 * alpha + p))))
-
-
 @dataclass
 class SieveFit:
     params: KmpParams
@@ -150,7 +144,7 @@ def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
     because each candidate set contains the current point.
     """
     p = data.p
-    K = cfg.K if cfg.K is not None else sieve_K(data.n, cfg.alpha, p)
+    K = cfg.K if cfg.K is not None else choose_Kn(data.n, cfg.alpha, p)
     grid = PartitionGrid(K, p)
     n_s = len(MultiIndexSet(p, cfg.m))
     ncoef = grid.n_blocks * n_s
@@ -287,10 +281,3 @@ def _kh_search(searcher, params, obj, cfg, refit):
         return best_obj
     return obj
 
-
-def mu_tilde_setter(params, k, j, value):
-    """Set one local center coordinate, keeping mu consistent."""
-    grid = params.grid
-    mt = params.mu_tilde
-    mt[k, j] = value
-    params.mu[:] = grid.block_centers + mt / (2.0 * grid.K)

@@ -8,6 +8,7 @@ for a known non-uniform design density.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -193,19 +194,13 @@ def select_K(data, prior: PriorConfig, cfg: McmcConfig, K_min=None, K_max=None):
     K_max = prior.K_max if K_max is None else K_max
     if K_min > K_max:
         raise ValueError("need K_min <= K_max")
-    ks = list(range(K_min, K_max + 1))
-    if len(set(ks)) != len(ks):
-        raise ValueError("duplicate K entries")
     rows = []
     by_k = {}
     failures = {}
-    for K in ks:
-        k_cfg = McmcConfig(burnin=cfg.burnin, samples=cfg.samples, thin=cfg.thin,
-                           seed=cfg.seed + K, init=cfg.init,
-                           sample_mu=cfg.sample_mu, sample_h=cfg.sample_h,
-                           sample_sigma=cfg.sample_sigma, adapt=cfg.adapt)
+    for K in range(K_min, K_max + 1):
         try:
-            draws = run_chain(k_cfg, prior, K, data)
+            draws = run_chain(dataclasses.replace(cfg, seed=cfg.seed + K),
+                              prior, K, data)
         except (ValueError, FloatingPointError) as exc:
             failures[K] = str(exc)
             continue

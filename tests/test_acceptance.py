@@ -16,11 +16,11 @@ from kmpoly import (Dataset, KmpParams, McmcConfig, PartitionGrid,
                     PriorConfig, ScenarioSpec, basis_matrix, conjugate_fit,
                     eval_f, mixture_weights, run_benchmark, run_chain,
                     run_coverage, sample_prior, taylor_project)
-from kmpoly.fixed_design import fixed_design_params
+from kmpoly.fixed_design import choose_Kn, fixed_design_params
 from kmpoly.harness import PLM_BETA0
 from kmpoly.plm import run_plm_chain
 from kmpoly.sampler import ChainState, gibbs_sigma, gibbs_xi
-from kmpoly.sieve import SieveConfig, fit_sieve_mle, sieve_K, solve_xi_box
+from kmpoly.sieve import SieveConfig, fit_sieve_mle, solve_xi_box
 from kmpoly.summaries import pointwise_band, select_K
 
 FULL = os.environ.get("KMP_ACCEPT_FULL") == "1"
@@ -244,7 +244,7 @@ def _l2_errors(n, seed, grid, f0g):
     x = rng.uniform(0.0, 1.0, n)
     y = np.sin(2 * math.pi * x) + 0.3 * rng.standard_normal(n)
     data = Dataset(x[:, None], y)
-    K = sieve_K(n, 1.0, 1)
+    K = choose_Kn(n, 1.0, 1)
     draws = run_chain(McmcConfig(burnin=300, samples=200, seed=seed,
                                  init="lsq"), PriorConfig(), K, data)
     pm = draws.curves(grid).mean(axis=0)

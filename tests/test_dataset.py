@@ -14,6 +14,27 @@ def test_dataset_validation():
         Dataset(np.array([[0.5]]), np.array([1.0]), z=np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("role, row, col", [("x", 1, 0), ("y", 2, 0), ("z", 0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite(role, row, col, bad):
+    arrays = {"x": np.full((3, 1), 0.5), "y": np.zeros((3, 1)), "z": np.ones((3, 2))}
+    arrays[role][row, col] = bad
+    names = {"x": "x1", "y": "y", "z": f"z{col + 1}"}[role]
+    with pytest.raises(ValueError, match=rf"non-finite {role} .*row {row}, column '{names}'"):
+        Dataset(arrays["x"], arrays["y"].ravel(), z=arrays["z"])
+
+
+def test_load_csv_rejects_non_finite_cells(tmp_path):
+    path = tmp_path / "nan.csv"
+    for text, role, col in [("x1,z1,y\nnan,0.0,1.0\n", "x", "x1"),
+                            ("x1,z1,y\n0.5,0.0,1.0\n0.5,inf,1.0\n", "z", "z1"),
+                            ("x1,z1,y\n0.5,0.0,1.0\n0.5,0.0,NaN\n", "y", "y")]:
+        path.write_text(text)
+        row = text.count("\n")
+        with pytest.raises(ValueError, match=rf"non-finite {role} cell .*row {row}, column '{col}'"):
+            load_csv(path, {"x": ["x1"], "z": ["z1"], "y": "y"})
+
+
 def test_dataset_default_names():
     ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]), z=np.array([[1.0]]))
     assert ds.x_names == ["x1", "x2"] and ds.z_names == ["z1"]

@@ -41,7 +41,7 @@ def test_beta_conditional_zero_pseudo_response():
 def test_gibbs_beta_matches_closed_form_normal():
     data, eta = _plm_data(n=40, q=1, seed=3)
     rng = np.random.default_rng(4)
-    draws = np.array([gibbs_beta(None, data, eta, 2.0, rng)[0]
+    draws = np.array([gibbs_beta(data, eta, 2.0, rng)[0]
                       for _ in range(10000)])
     mean, low = beta_conditional(data, eta, tau_beta=2.0)
     sd = 1.0 / low[0, 0]

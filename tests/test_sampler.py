@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from kmpoly import (Dataset, McmcConfig, PriorConfig, basis_matrix, eval_f,
-                    loglik, run_chain, sample_prior)
+                    log_prior_density, loglik, run_chain, run_plm_chain,
+                    sample_prior)
 from kmpoly.sampler import ChainState, gibbs_xi, mh_h, mh_mu
 
 from conftest import make_params, sine_data
@@ -206,3 +207,45 @@ def test_config_validation():
         McmcConfig(samples=0)
     with pytest.raises(ValueError):
         McmcConfig(init="map")
+
+
+# ---------------------------------------------------------------- score oracle
+
+def _oracle_data(p, q, seed):
+    rng = np.random.default_rng(seed)
+    n = 80 if p == 1 else 60
+    x = rng.uniform(0, 1, size=(n, p))
+    z = rng.standard_normal((n, q)) if q else None
+    y = np.sin(2 * math.pi * x[:, 0]) + 0.3 * rng.standard_normal(n)
+    if q:
+        y = y + z @ np.linspace(-1.0, 1.0, q)
+    return Dataset(x, y, z=z)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("model", ["chain", "plm_sigma_fixed", "plm_sigma_estimated"])
+def test_stored_scores_match_full_recomputation(p, model):
+    # the sweep loop keeps the residual incrementally; every retained draw's
+    # stored loglik and logpost must agree with a from-scratch evaluation
+    prior = PriorConfig()
+    cfg = McmcConfig(burnin=40, samples=12, thin=2, seed=4)
+    K = 4 if p == 1 else 3
+    if model == "chain":
+        data = _oracle_data(p, 0, seed=p)
+        draws = run_chain(cfg, prior, K, data)
+    else:
+        data = _oracle_data(p, 2, seed=10 + p)
+        draws = run_plm_chain(cfg, prior, K, data,
+                              estimate_sigma=model == "plm_sigma_estimated")
+    assert len(draws) == 12
+    for t, d in enumerate(draws.draws):
+        if draws.beta is None:
+            target, beta_lp = data, 0.0
+        else:
+            beta = draws.beta[t]
+            target = Dataset(data.x, data.y - data.z @ beta)
+            beta_lp = float(np.sum(stats.norm.logpdf(beta, scale=prior.tau_beta)))
+        ll = loglik(d, target)
+        assert draws.loglik[t] == pytest.approx(ll, rel=1e-9)
+        expect = draws.loglik[t] + log_prior_density(prior, d) + beta_lp
+        assert draws.logpost[t] == pytest.approx(expect, rel=1e-9)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from kmpoly import (Dataset, SieveConfig, basis_matrix, eval_f, fit_sieve_mle,
-                    sieve_K)
-from kmpoly.sieve import mu_tilde_setter, solve_xi_box
+from kmpoly import (Dataset, SieveConfig, basis_matrix, choose_Kn, eval_f,
+                    fit_sieve_mle)
+from kmpoly.sieve import solve_xi_box
 
 from conftest import make_params, sine_data
 
@@ -49,13 +49,13 @@ def test_box_solver_handles_zero_columns(rng):
 # ---------------------------------------------------------------- K rule
 
 def test_sieve_K_values():
-    assert sieve_K(1000, 1.0, 1) == 6
+    assert choose_Kn(1000, 1.0, 1) == 6
     with pytest.raises(ValueError):
-        sieve_K(1, 1.0, 1)
+        choose_Kn(1, 1.0, 1)
 
 
 def test_sieve_K_monotone_in_n():
-    ks = [sieve_K(n, 1.0, 1) for n in (100, 500, 1000, 5000, 20000, 100000)]
+    ks = [choose_Kn(n, 1.0, 1) for n in (100, 500, 1000, 5000, 20000, 100000)]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
 
 
@@ -94,7 +94,7 @@ def test_fit_uses_n_rule_when_K_unset(rng):
     data = sine_data(100, seed=2)
     cfg = SieveConfig(multistart=1, max_outer=2, mu_grid=7)
     fit = fit_sieve_mle(data, cfg, rng)
-    assert fit.params.grid.K == sieve_K(100, 1.0, 1)
+    assert fit.params.grid.K == choose_Kn(100, 1.0, 1)
 
 
 def test_fixed_sigma0_propagates(rng):
@@ -102,13 +102,6 @@ def test_fixed_sigma0_propagates(rng):
     cfg = SieveConfig(K=2, multistart=1, max_outer=3, sigma0=0.25)
     fit = fit_sieve_mle(data, cfg, rng)
     assert fit.params.sigma == 0.25
-
-
-def test_mu_tilde_setter_keeps_consistency():
-    params = make_params(K=3)
-    mu_tilde_setter(params, 1, 0, 0.5)
-    assert params.mu_tilde[1, 0] == pytest.approx(0.5)
-    assert params.grid.contains(params.mu)
 
 
 def test_config_validation():
