@@ -243,23 +243,23 @@ class KmpParams:
 
 
 def weights_from_radii(family: str, r):
-    """Normalized mixture weights from precomputed radii r = dist/h, (n, K^p).
+    """Normalized mixture weights from precomputed radii r = dist/h, (..., K^p).
 
-    Rows are rescaled by their largest kernel log-value before
+    Each row (last axis) is rescaled by its largest kernel log-value before
     exponentiation, so the denominator never underflows.
     """
     spec = KernelSpec(family, 1.0)
     if family == "bump":
         logv = spec.log_profile(r)
-        rowmax = np.max(logv, axis=1, keepdims=True)
+        rowmax = np.max(logv, axis=-1, keepdims=True)
         if not np.all(np.isfinite(rowmax)):
             raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
         w = np.exp(logv - rowmax)
     else:
         w = spec.profile(r)
-        if not np.all(np.max(w, axis=1) > 0):
+        if not np.all(np.max(w, axis=-1) > 0):
             raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-    return w / np.sum(w, axis=1, keepdims=True)
+    return w / np.sum(w, axis=-1, keepdims=True)
 
 
 def mixture_weights(params: KmpParams, x):
@@ -322,7 +322,37 @@ def eval_basis(params: KmpParams, k, s, x):
 
 def eval_f(params: KmpParams, x):
     """Evaluate the kernel mixture of polynomials regression function."""
-    return basis_matrix(params, x) @ params.xi.ravel()
+    return _eval_curves(params.grid, params.m, params.kernel,
+                        np.array([params.h]), params.mu[None], params.xi[None], x)[0]
+
+
+# largest (draw x point x block) batch _eval_curves builds at once
+BATCH_ELEMENTS = 1 << 16
+
+
+def _eval_curves(grid: PartitionGrid, m: int, kernel: str, h, mu, xi, x):
+    """Regression curves of T draws at points x, shape (T, n).
+
+    The draws share grid, m and kernel and are stacked as h (T,),
+    mu (T, K^p, p) and xi (T, K^p, n_s).  The monomial tensor is built once;
+    draws are processed in batches of at most ``BATCH_ELEMENTS`` radii
+    (fewer than one draw's worth only when a single draw exceeds it).
+    """
+    x = _check_points(x, grid.p)
+    mono = monomial_tensor(grid, m, x)                   # (n, K^p, n_s)
+    n, nb = mono.shape[:2]
+    T = h.shape[0]
+    out = np.empty((T, n))
+    step = max(1, BATCH_ELEMENTS // max(1, n * nb))
+    for a in range(0, T, step):
+        t = slice(a, a + step)
+        diff = x[None, :, None, :] - mu[t, None, :, :]    # (t, n, K^p, p)
+        w = weights_from_radii(kernel, np.max(np.abs(diff), axis=-1) / h[t, None, None])
+        # the optimal order, fixed to skip a path search per batch: the
+        # monomials with xi over s first, then the weights over blocks
+        out[t] = np.einsum("tnk,nks,tks->tn", w, mono, xi[t],
+                           optimize=["einsum_path", (1, 2), (0, 1)])
+    return out
 
 
 def _central_diff(f, x, s, step=1e-4):

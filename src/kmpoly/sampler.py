@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
-from .core import (KmpParams, _check_points, eval_f, monomial_tensor,
-                   weights_from_radii)
+from .core import (KmpParams, _check_points, _eval_curves, eval_f,
+                   monomial_tensor, weights_from_radii)
 from .priors import PriorConfig, log_prior_density, sample_prior
 
 
@@ -212,12 +212,7 @@ def mh_h(state: ChainState, rng, step: float):
     kh = K * params.h + step * rng.normal()
     kh = float(reflect(kh, cfg.h_lo, cfg.h_hi))
     h_new = kh / K
-    # the radius arithmetic differs by family; both forms are kept so that
-    # draws stay reproducible for a fixed seed
-    if params.kernel == "bump":
-        phi_new = params.spec.profile(state.dist * (1.0 / h_new))
-    else:
-        phi_new = params.spec.profile(state.dist / h_new)
+    phi_new = params.spec.profile(state.dist * (1.0 / h_new))
     S = phi_new.sum(axis=1)
     if not np.all(S > 0.0):
         raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
@@ -270,7 +265,13 @@ class PosteriorDraws:
 
     def curves(self, grid):
         """Regression curves of every draw on an evaluation grid, (T, G)."""
-        return np.array([eval_f(d, grid) for d in self.draws])
+        if not self.draws:
+            raise ValueError("no draws")
+        first = self.draws[0]
+        return _eval_curves(first.grid, first.m, first.kernel,
+                            np.array([d.h for d in self.draws]),
+                            np.array([d.mu for d in self.draws]),
+                            np.array([d.xi for d in self.draws]), grid)
 
     def to_csv(self, csv_path, json_path=None):
         from .chainio import save_draws

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .core import BATCH_ELEMENTS
 from .io_utils import atomic_write, write_json
 from .priors import PriorConfig
 from .sampler import McmcConfig, PosteriorDraws, _loglik_resid, run_chain
@@ -102,23 +103,6 @@ def l2_credible_set(draws: PosteriorDraws, grid, level=0.95,
     hi = np.maximum(kept.max(axis=0), fhat)
     return CredibleSummary(np.asarray(grid), fhat, lo, hi, level, "l2set",
                            radius=radius)
-
-
-def _mean_params(draws: PosteriorDraws):
-    """Plug-in parameter: posterior means of xi, mu-tilde, Kh and sigma.
-
-    Averaging mu-tilde (not mu) and Kh keeps the plug-in feasible.
-    """
-    first = draws.draws[0]
-    K = first.grid.K
-    xi = np.mean([d.xi for d in draws.draws], axis=0)
-    mt = np.mean([d.mu_tilde for d in draws.draws], axis=0)
-    kh = float(np.mean([K * d.h for d in draws.draws]))
-    sigma = float(np.mean([d.sigma for d in draws.draws]))
-    mu = first.grid.block_centers + mt / (2.0 * K)
-    from .core import KmpParams
-
-    return KmpParams(first.grid, kh / K, mu, xi, sigma, first.m, first.kernel)
 
 
 def dic(draws: PosteriorDraws, data) -> float:
@@ -223,9 +207,19 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
     """Posterior predictive mean and central interval at new points.
 
     The predictive law at a point is the Gaussian mixture over draws
-    y* = f_t(x*) + N(0, sigma_t^2); interval endpoints come from inverting
-    the mixture CDF on a fine response grid.  Returns (mean, lower, upper).
+    y* = f_t(x*) + N(0, sigma_t^2).  Both interval endpoints at every point
+    are found together by bisection on the mixture CDF, started from the
+    bracket [min_t f_t - 8 max sigma, max_t f_t + 8 max sigma] and run until
+    it is narrower than 1e-10 * max(1, max sigma) (or than the float
+    spacing of the endpoints, if that is wider).  At a jump of the CDF,
+    where some sigma_t is zero, the endpoint is the point of the jump.  If
+    every sigma is below 1e-12 the endpoints are empirical quantiles of the
+    curves.  Returns (mean, lower, upper).
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    if len(draws) == 0:
+        raise ValueError("no draws")
     f = draws.curves(xnew)                       # (T, G)
     sig = draws.sigmas()
     mean = f.mean(axis=0)
@@ -234,15 +228,23 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
         lo = np.quantile(f, alpha, axis=0)
         hi = np.quantile(f, 1.0 - alpha, axis=0)
         return mean, lo, hi
-    lo = np.empty_like(mean)
-    hi = np.empty_like(mean)
-    for g in range(f.shape[1]):
-        fg = f[:, g]
-        span_lo = float(np.min(fg) - 8.0 * np.max(sig))
-        span_hi = float(np.max(fg) + 8.0 * np.max(sig))
-        ys = np.linspace(span_lo, span_hi, 4001)
-        z = (ys[None, :] - fg[:, None]) / np.maximum(sig, 1e-300)[:, None]
-        cdf = special.ndtr(z).mean(axis=0)
-        lo[g] = float(np.interp(alpha, cdf, ys))
-        hi[g] = float(np.interp(1.0 - alpha, cdf, ys))
-    return mean, lo, hi
+    T, G = f.shape
+    sig_max = float(np.max(sig))
+    tol = 1e-10 * max(1.0, sig_max)
+    scale = np.maximum(sig, 1e-300)[:, None, None]
+    target = np.array([[alpha], [1.0 - alpha]])  # (2, 1): lower, upper
+    ends = np.empty((2, G))
+    step = max(1, BATCH_ELEMENTS // (2 * T))
+    for a in range(0, G, step):
+        fc = f[:, None, a:a + step]              # (T, 1, g)
+        left = np.repeat(fc.min(axis=0) - 8.0 * sig_max, 2, axis=0)
+        right = np.repeat(fc.max(axis=0) + 8.0 * sig_max, 2, axis=0)
+        # the CDF is below target at left and reaches it at right
+        width = float(np.max(right - left))
+        for _ in range(max(0, math.ceil(math.log2(width / tol)))):
+            mid = 0.5 * (left + right)
+            below = special.ndtr((mid - fc) / scale).mean(axis=0) < target
+            left = np.where(below, mid, left)
+            right = np.where(below, right, mid)
+        ends[:, a:a + step] = 0.5 * (left + right)
+    return mean, ends[0], ends[1]

@@ -115,6 +115,20 @@ def test_predict_from_saved_chain(runner, fixture_csv, tmp_path):
     assert lo <= mean <= hi
 
 
+def test_predict_rejects_bad_level(runner, fixture_csv, tmp_path):
+    fit_out = tmp_path / "fit"
+    _run(runner, ["fit", "--data", fixture_csv, "--k", "3", "--burnin", "10",
+                  "--samples", "10", "--seed", "1", "--out", str(fit_out)])
+    pred_out = tmp_path / "pred"
+    result = runner.invoke(main, ["predict", "--chain", str(fit_out / "chain.csv"),
+                                  "--level", "1.5", "--out", str(pred_out)])
+    assert result.exit_code != 0
+    err = json.loads((pred_out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert "level" in err["message"]
+    assert not (pred_out / "predictions.csv").exists()
+
+
 def test_coverage_command(runner, tmp_path):
     out = tmp_path / "cov"
     _run(runner, ["coverage", "--truth", "volterra", "--n", "70",

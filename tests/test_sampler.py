@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kmpoly import (Dataset, McmcConfig, PriorConfig, basis_matrix, eval_f,
-                    log_prior_density, loglik, run_chain, run_plm_chain,
-                    sample_prior)
+from kmpoly import (Dataset, McmcConfig, PosteriorDraws, PriorConfig,
+                    basis_matrix, core, eval_f, log_prior_density, loglik,
+                    run_chain, run_plm_chain, sample_prior)
 from kmpoly.sampler import ChainState, gibbs_xi, mh_h, mh_mu
 
 from conftest import make_params, sine_data
@@ -48,6 +48,33 @@ def test_loglik_rejects_degenerate_input():
     params = make_params(K=2, h=0.75, sigma=0.0)
     with pytest.raises(ValueError):
         loglik(params, Dataset(np.array([[0.5]]), np.array([0.0])))
+
+
+# ---------------------------------------------------------------- curves
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_batched_curves_match_basis_matrix(p, kernel, m, monkeypatch):
+    rng = np.random.default_rng(100 * p + 10 * m + len(kernel))
+    K = 3
+    prior = PriorConfig(m=m, kernel=kernel)
+    draws = [sample_prior(prior, K, rng, p=p) for _ in range(10)]
+    x = rng.uniform(0.0, 1.0, (37, p))
+    chain = PosteriorDraws(draws, np.zeros(10), np.zeros(10), {}, K)
+    want = np.array([basis_matrix(d, x) @ d.xi.ravel() for d in draws])
+    np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
+    # batches of 3 draws: 10 is not a multiple of the batch size
+    monkeypatch.setattr(core, "BATCH_ELEMENTS", 3 * 37 * K**p)
+    np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
+    # a single draw larger than the batch budget still evaluates whole
+    monkeypatch.setattr(core, "BATCH_ELEMENTS", 1)
+    np.testing.assert_allclose(eval_f(draws[4], x), want[4], rtol=0, atol=1e-12)
+
+
+def test_curves_reject_empty_chain():
+    with pytest.raises(ValueError, match="no draws"):
+        PosteriorDraws([], np.zeros(0), np.zeros(0), {}, 2).curves(np.array([0.5]))
 
 
 # ---------------------------------------------------------------- caches

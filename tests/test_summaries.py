@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from kmpoly import (DicReport, McmcConfig, PosteriorDraws, PriorConfig, dic,
                     dic_parts, l2_credible_set, pointwise_band, predict,
                     run_chain, select_K)
-from kmpoly.summaries import _mean_params, grid_l2_norms
+from kmpoly import summaries
+from kmpoly.summaries import grid_l2_norms
 
 from conftest import make_params, sine_data
 
@@ -104,15 +107,6 @@ def test_dic_duplicate_draw_invariance():
     assert dic(base, data) == pytest.approx(dic(doubled, data), rel=1e-12)
 
 
-def test_mean_params_feasible():
-    prior = PriorConfig()
-    data = sine_data(60, seed=13)
-    draws = run_chain(McmcConfig(burnin=50, samples=50, seed=5), prior, 3, data)
-    plug = _mean_params(draws)
-    plug.validate(B=prior.B, h_lo=prior.h_lo, h_hi=prior.h_hi,
-                  sigma_lo=prior.sigma_lo, sigma_hi=prior.sigma_hi)
-
-
 def test_select_K_single_grid_point():
     prior = PriorConfig()
     data = sine_data(50, seed=14)
@@ -162,3 +156,69 @@ def test_predict_mixture_matches_mc_oracle():
                   2.0 + 1.5 * r.standard_normal(1_000_000))
     assert lo[0] == pytest.approx(np.quantile(mc, 0.025), abs=0.01)
     assert hi[0] == pytest.approx(np.quantile(mc, 0.975), abs=0.01)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2])
+def test_predict_rejects_bad_level(level):
+    with pytest.raises(ValueError, match="level must be in"):
+        predict(_const_draws([1.0, 2.0]), np.array([0.5]), level=level)
+
+
+def test_predict_rejects_empty_draws():
+    empty = PosteriorDraws([], np.zeros(0), np.zeros(0), {}, 1)
+    with pytest.raises(ValueError, match="no draws"):
+        predict(empty, np.array([0.5]))
+
+
+def _mixture_cdf(y, means, sigmas):
+    """Gaussian-mixture CDF at y; a zero-sigma component is a unit step."""
+    y = np.asarray(y, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (y - means) / sigmas
+    smooth = special.ndtr(z)
+    step = np.where(y >= means, 1.0, 0.0)
+    return np.mean(np.where(sigmas > 0, smooth, step), axis=-1)
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                          st.one_of(st.just(0.0), st.floats(1e-3, 3.0))),
+                min_size=1, max_size=20),
+       st.floats(0.5, 0.99))
+@settings(max_examples=150, deadline=None)
+def test_predict_inverts_the_mixture_cdf(components, level):
+    means = np.array([c[0] for c in components])
+    sigmas = np.array([c[1] for c in components])
+    if not np.any(sigmas > 0):
+        sigmas[0] = 0.5    # all-zero sigma takes the empirical-quantile branch
+    mean, lo, hi = predict(_const_draws(means, sigmas), np.array([0.5]), level)
+    alpha = (1.0 - level) / 2.0
+    tol = 1e-10 * max(1.0, float(sigmas.max()))
+    slack = 1e-12          # rounding of the averaged CDF
+    for q, target in ((lo[0], alpha), (hi[0], 1.0 - alpha)):
+        # F(q - tol) <= target <= F(q + tol): F equals the target within
+        # tol where it is continuous, and q is the jump where it is not
+        assert _mixture_cdf(q - tol, means, sigmas) <= target + slack
+        assert _mixture_cdf(q + tol, means, sigmas) >= target - slack
+    # the interval contains the predictive mean exactly when the mixture
+    # puts at least alpha of its mass on either side of it
+    f_mean = _mixture_cdf(mean[0], means, sigmas)
+    if alpha + 1e-9 < f_mean < 1.0 - alpha - 1e-9:
+        assert lo[0] <= mean[0] <= hi[0]
+
+
+def test_predict_point_batches_agree(rng, monkeypatch):
+    values = rng.normal(size=(40, 7))
+    draws = _const_draws(values[:, 0], sigmas=rng.uniform(0.0, 0.5, 40))
+    # curves of constant draws do not depend on x, so vary them by hand
+    monkeypatch.setattr(draws, "curves", lambda grid: values[:, :len(grid)])
+    whole = predict(draws, np.linspace(0.1, 0.9, 7))
+    monkeypatch.setattr(summaries, "BATCH_ELEMENTS", 2 * 40 * 3)   # 3 points a batch
+    batched = predict(draws, np.linspace(0.1, 0.9, 7))
+    # every end lies within half the 1e-10 tolerance of the same quantile
+    for a, b in zip(whole, batched):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+    for g in range(7):
+        monkeypatch.setattr(draws, "curves", lambda grid, g=g: values[:, g:g + 1])
+        single = predict(draws, np.array([0.5]))
+        for a, b in zip(whole, single):
+            assert a[g] == pytest.approx(b[0], rel=0, abs=1e-10)
