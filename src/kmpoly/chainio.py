@@ -10,7 +10,8 @@ import json
 
 import numpy as np
 
-from .core import KmpParams, MultiIndexSet, PartitionGrid
+from .core import PartitionGrid
+from .dataset import _parse_cell
 from .io_utils import atomic_write, write_json
 
 
@@ -27,29 +28,25 @@ def save_draws(draws, csv_path, json_path=None):
     """Persist a PosteriorDraws object to CSV + JSON header."""
     if json_path is None:
         json_path = str(csv_path) + ".json"
-    first = draws.draws[0]
-    grid = first.grid
-    n_s = len(first.mindex)
+    grid = draws.grid
+    T, nb, n_s = draws.xi.shape
     q = 0 if draws.beta is None else draws.beta.shape[1]
-    cols = _columns(grid.p, grid.n_blocks, n_s, q)
+    cols = _columns(grid.p, nb, n_s, q)
+    table = np.column_stack([
+        *([draws.beta] if q else []), draws.h, draws.mu.reshape(T, nb * grid.p),
+        draws.xi.reshape(T, nb * n_s), draws.sigma, draws.loglik, draws.logpost,
+    ])
+    K = str(grid.K)
     lines = [",".join(cols)]
-    for t, d in enumerate(draws.draws):
-        cells = []
-        if q:
-            cells += [repr(float(v)) for v in draws.beta[t]]
-        cells += [str(grid.K), repr(float(d.h))]
-        cells += [repr(float(v)) for v in d.mu.ravel()]
-        cells += [repr(float(v)) for v in d.xi.ravel()]
-        cells += [repr(float(d.sigma)), repr(float(draws.loglik[t])),
-                  repr(float(draws.logpost[t]))]
-        lines.append(",".join(cells))
+    for row in table.tolist():
+        lines.append(",".join([*map(repr, row[:q]), K, *map(repr, row[q:])]))
     atomic_write(csv_path, "\n".join(lines) + "\n")
     header = {
         "K": grid.K,
         "p": grid.p,
-        "m": first.m,
-        "kernel": first.kernel,
-        "n_blocks": grid.n_blocks,
+        "m": draws.m,
+        "kernel": draws.kernel,
+        "n_blocks": nb,
         "n_coef_per_block": n_s,
         "q": q,
         "columns": cols,
@@ -60,7 +57,13 @@ def save_draws(draws, csv_path, json_path=None):
 
 
 def load_draws(csv_path, json_path=None):
-    """Inverse of :func:`save_draws`."""
+    """Inverse of :func:`save_draws`.
+
+    Every row must hold one number per column, the header's K in the K
+    column and finite parameters (loglik and logpost may be NaN: a
+    conjugate chain drawn without data is not scored).  A malformed row
+    raises ValueError naming its file row (the header is row 1) and column.
+    """
     from .sampler import PosteriorDraws
 
     if json_path is None:
@@ -69,32 +72,37 @@ def load_draws(csv_path, json_path=None):
         header = json.load(fh)
     K, p, m = header["K"], header["p"], header["m"]
     nb, n_s, q = header["n_blocks"], header["n_coef_per_block"], header["q"]
-    grid = PartitionGrid(K, p)
-    draws, lls, lps, betas = [], [], [], []
+    rows = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         cols = next(reader)
         if cols != header["columns"]:
             raise ValueError("chain CSV does not match its JSON header")
-        for row in reader:
-            vals = [float(v) for v in row]
-            i = 0
-            if q:
-                betas.append(vals[:q])
-                i = q
-            i += 1  # K column, already known
-            h = vals[i]
-            i += 1
-            mu = np.array(vals[i:i + nb * p]).reshape(nb, p)
-            i += nb * p
-            xi = np.array(vals[i:i + nb * n_s]).reshape(nb, n_s)
-            i += nb * n_s
-            sigma, ll, lp = vals[i], vals[i + 1], vals[i + 2]
-            draws.append(KmpParams(grid, h, mu, xi, sigma, m=m,
-                                   kernel=header["kernel"]))
-            lls.append(ll)
-            lps.append(lp)
+        for i, row in enumerate(reader, start=2):
+            if len(row) < len(cols):
+                raise ValueError(f"missing cell at row {i}, column {cols[len(row)]!r}")
+            if len(row) > len(cols):
+                raise ValueError(f"extra cell {row[len(cols)]!r} at row {i}, "
+                                 f"column {len(cols) + 1}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                for v, c in zip(row, cols):
+                    _parse_cell(v, i, c)
+    T = len(rows)
+    table = np.array(rows).reshape(T, len(cols))
+    bad = ~np.isfinite(table[:, :-2])
+    bad[:, q] = table[:, q] != K
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        cell = f"cell '{float(table[i, j])}' at row {i + 2}, column {cols[j]!r}"
+        raise ValueError(f"K {cell} differs from the header's K = {K}" if j == q
+                         else f"non-finite chain {cell}")
+    parts = np.split(table, np.cumsum([q, 1, 1, nb * p, nb * n_s, 1, 1]), axis=1)
+    beta, _, h, mu, xi, sigma, lls, lps = map(np.ascontiguousarray, parts)
     return PosteriorDraws(
-        draws, np.array(lls), np.array(lps), header.get("accept", {}), K,
-        beta=np.array(betas) if q else None, meta=header.get("meta", {}),
+        PartitionGrid(K, p), m, header["kernel"], h[:, 0], mu.reshape(T, nb, p),
+        xi.reshape(T, nb, n_s), sigma[:, 0], lls[:, 0], lps[:, 0],
+        header.get("accept", {}), beta=beta if q else None,
+        meta=header.get("meta", {}),
     )

@@ -204,7 +204,7 @@ class KmpParams:
         if self.mu.shape != (self.grid.n_blocks, self.grid.p):
             raise ValueError("mu must have shape (K^p, p)")
         self.xi = np.asarray(self.xi, dtype=float)
-        n_s = len(MultiIndexSet(self.grid.p, self.m))
+        n_s = len(_mindex_cached(self.grid.p, self.m))
         if self.xi.shape != (self.grid.n_blocks, n_s):
             raise ValueError(f"xi must have shape (K^p, {n_s})")
 

@@ -74,12 +74,13 @@ class Dataset:
         return 0 if self.z is None else self.z.shape[1]
 
 
-def _parse_cell(text, row, col, role):
+def _parse_cell(text, row, col, role=None):
+    """float(text); raises naming a non-numeric cell, or given a role a non-finite one."""
     try:
         value = float(text)
     except ValueError:
         raise ValueError(f"non-numeric cell {text!r} at row {row}, column {col!r}") from None
-    if not math.isfinite(value):
+    if role is not None and not math.isfinite(value):
         raise ValueError(f"non-finite {role} cell {text!r} at row {row}, column {col!r}")
     return value
 

@@ -21,7 +21,9 @@ import numpy as np
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .core import KmpParams, MultiIndexSet, PartitionGrid, basis_matrix
+from .core import (KmpParams, MultiIndexSet, PartitionGrid, _eval_curves,
+                   basis_matrix)
+from .sampler import PosteriorDraws
 
 
 def choose_Kn(n: int, alpha: float, p: int) -> int:
@@ -90,22 +92,20 @@ class ConjugatePosterior:
 
     def to_posterior_draws(self, n_draws, rng, data=None):
         """Materialize draws as a PosteriorDraws so the generic posterior
-        summaries (L2-credible sets, bands, DIC) apply unchanged."""
-        from .sampler import PosteriorDraws, loglik
-
+        summaries (L2-credible sets, bands, DIC) apply unchanged.  Without
+        data the log scores are NaN."""
         xi, sig = self.sample(n_draws, rng)
-        shape = self.skeleton.xi.shape
-        draws = []
-        lls = []
-        for t in range(n_draws):
-            par = self.skeleton.copy()
-            par.xi[:] = xi[t].reshape(shape)
-            par.sigma = float(sig[t])
-            draws.append(par)
-            lls.append(loglik(par, data) if data is not None else np.nan)
-        lls = np.array(lls)
-        return PosteriorDraws(draws, lls, lls.copy(), {}, self.skeleton.grid.K,
-                              meta={"source": "conjugate-fixed-design"})
+        sk = self.skeleton
+        h = np.full(n_draws, sk.h)
+        mu = np.broadcast_to(sk.mu, (n_draws, *sk.mu.shape))
+        xi = xi.reshape(n_draws, *sk.xi.shape)
+        lls = np.full(n_draws, np.nan)
+        if data is not None:
+            r = data.y - _eval_curves(sk.grid, sk.m, sk.kernel, h, mu, xi, data.x)
+            lls = (-0.5 * data.n * np.log(2 * np.pi * sig**2)
+                   - 0.5 * np.einsum("tn,tn->t", r, r) / sig**2)
+        return PosteriorDraws(sk.grid, sk.m, sk.kernel, h, mu, xi, sig, lls,
+                              lls.copy(), meta={"source": "conjugate-fixed-design"})
 
 
 def conjugate_fit(data, alpha=1.0, m=2, a_sigma=2.0, b_sigma=2.0,

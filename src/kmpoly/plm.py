@@ -87,7 +87,7 @@ def run_plm_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
 
     cfg = dataclasses.replace(cfg, adapt=False,
                               sample_sigma=cfg.sample_sigma and estimate_sigma)
-    draws = _run_sweeps(cfg, prior, K, state, rng, pre_step=beta_block)
+    draws = _run_sweeps(cfg, prior, state, rng, pre_step=beta_block)
     draws.meta = {"model": "plm", "sigma_fixed": not estimate_sigma}
     return draws
 

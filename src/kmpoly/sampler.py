@@ -10,14 +10,16 @@ no n-by-n factorization appears anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import chainio
 from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
-from .core import (KmpParams, _check_points, _eval_curves, eval_f,
-                   monomial_tensor, weights_from_radii)
+from .core import (KmpParams, PartitionGrid, _check_points, _eval_curves,
+                   eval_f, monomial_tensor, weights_from_radii)
 from .priors import PriorConfig, log_prior_density, sample_prior
 
 
@@ -155,25 +157,22 @@ def mh_mu(state: ChainState, rng, step: float):
     numer = np.einsum("nk,nk->n", phi, poly)
     if not np.all(S > 0.0):
         raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-    mu = params.mu.copy()
-    dist = state.dist
     cur_ll = state.loglik()
     resid = state.resid
     x1 = x[:, 0] if grid.p == 1 else None
-    inv_h = 1.0 / params.h
     for k in range(grid.n_blocks):
         if x1 is not None:
             # scalar fast path: one center coordinate, no tiny-array churn
-            mt_k = 2.0 * K * (mu[k, 0] - centers[k, 0])
+            mt_k = 2.0 * K * (params.mu[k, 0] - centers[k, 0])
             prop = float(reflect(mt_k + step * rng.normal(), -1.0, 1.0))
             new_mu_k = np.array([centers[k, 0] + prop / (2.0 * K)])
             col = np.abs(x1 - new_mu_k[0])
         else:
-            mt_k = 2.0 * K * (mu[k] - centers[k])
+            mt_k = 2.0 * K * (params.mu[k] - centers[k])
             prop = reflect(mt_k + step * rng.normal(size=grid.p), -1.0, 1.0)
             new_mu_k = centers[k] + prop / (2.0 * K)
             col = np.max(np.abs(x - new_mu_k[None, :]), axis=-1)
-        phi_new = spec.profile(col * inv_h)
+        phi_new = spec.profile(col / params.h)
         S_new = S - phi[:, k] + phi_new
         numer_new = numer + (phi_new - phi[:, k]) * poly[:, k]
         with np.errstate(divide="raise", invalid="raise"):
@@ -185,16 +184,13 @@ def mh_mu(state: ChainState, rng, step: float):
             phi[:, k] = phi_new
             S = S_new
             numer = numer_new
-            dist[:, k] = col
-            mu[k] = new_mu_k
+            state.dist[:, k] = col
+            params.mu[k] = new_mu_k
             cur_ll = new_ll
             resid = r
             accepted += 1
     if accepted:
-        state.params = KmpParams(grid, params.h, mu, params.xi, sigma,
-                                 params.m, params.kernel)
-        state.dist = dist
-        state.set_basis(dist / params.h)
+        state.set_basis(state.dist / params.h)
         state.resid = resid
     return state, accepted
 
@@ -212,7 +208,8 @@ def mh_h(state: ChainState, rng, step: float):
     kh = K * params.h + step * rng.normal()
     kh = float(reflect(kh, cfg.h_lo, cfg.h_hi))
     h_new = kh / K
-    phi_new = params.spec.profile(state.dist * (1.0 / h_new))
+    r_new = state.dist / h_new
+    phi_new = params.spec.profile(r_new)
     S = phi_new.sum(axis=1)
     if not np.all(S > 0.0):
         raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
@@ -220,10 +217,9 @@ def mh_h(state: ChainState, rng, step: float):
     resid = state.data.y - np.einsum("nk,nk->n", phi_new, poly) / S
     delta = _loglik_resid(resid, params.sigma) - state.loglik()
     if math.log(rng.uniform()) < delta:
-        state.params = KmpParams(params.grid, h_new, params.mu, params.xi,
-                                 params.sigma, params.m, params.kernel)
+        params.h = h_new
         state.phi = phi_new
-        state.set_basis(state.dist / h_new)
+        state.set_basis(r_new)
         state.resid = resid
         return state, 1
     return state, 0
@@ -247,42 +243,56 @@ def gibbs_sigma(state: ChainState, rng) -> ChainState:
 
 @dataclass
 class PosteriorDraws:
-    """Ordered post-burn-in chain at fixed K, with per-draw log scores."""
+    """Ordered post-burn-in chain at fixed K, stored as columns: draw t is row
+    t of h (T,), mu (T, K^p, p), xi (T, K^p, n_s), sigma, loglik, logpost
+    (T,) and, for the partial linear model, beta (T, q); grid, m and kernel
+    are shared.  ``draws`` gives read-only KmpParams views of the rows."""
 
-    draws: list
+    grid: PartitionGrid
+    m: int
+    kernel: str
+    h: np.ndarray
+    mu: np.ndarray
+    xi: np.ndarray
+    sigma: np.ndarray
     loglik: np.ndarray
     logpost: np.ndarray
-    accept: dict
-    K: int
-    beta: np.ndarray | None = None   # (T, q) for the partial linear model
+    accept: dict = field(default_factory=dict)
+    beta: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
+    @property
+    def K(self):
+        return self.grid.K
+
     def __len__(self):
-        return len(self.draws)
+        return self.h.shape[0]
 
     def sigmas(self):
-        return np.array([d.sigma for d in self.draws])
+        return self.sigma
+
+    @functools.cached_property
+    def draws(self):
+        """KmpParams views of the rows (mu, xi read-only), built on first use."""
+        mu, xi = self.mu.view(), self.xi.view()
+        mu.flags.writeable = xi.flags.writeable = False
+        return [KmpParams(self.grid, float(h), mu[t], xi[t], float(s),
+                          self.m, self.kernel)
+                for t, (h, s) in enumerate(zip(self.h, self.sigma))]
 
     def curves(self, grid):
         """Regression curves of every draw on an evaluation grid, (T, G)."""
-        if not self.draws:
+        if not len(self):
             raise ValueError("no draws")
-        first = self.draws[0]
-        return _eval_curves(first.grid, first.m, first.kernel,
-                            np.array([d.h for d in self.draws]),
-                            np.array([d.mu for d in self.draws]),
-                            np.array([d.xi for d in self.draws]), grid)
+        return _eval_curves(self.grid, self.m, self.kernel, self.h, self.mu,
+                            self.xi, grid)
 
     def to_csv(self, csv_path, json_path=None):
-        from .chainio import save_draws
-
-        save_draws(self, csv_path, json_path)
+        chainio.save_draws(self, csv_path, json_path)
 
     @staticmethod
     def from_csv(csv_path, json_path=None):
-        from .chainio import load_draws
-
-        return load_draws(csv_path, json_path)
+        return chainio.load_draws(csv_path, json_path)
 
 
 def _initial_state(cfg: McmcConfig, prior: PriorConfig, K: int, data, rng):
@@ -306,11 +316,11 @@ def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
         state = ChainState(init_params.copy(), data, prior)
     else:
         state = _initial_state(cfg, prior, K, data, rng)
-    return _run_sweeps(cfg, prior, K, state, rng)
+    return _run_sweeps(cfg, prior, state, rng)
 
 
-def _run_sweeps(cfg: McmcConfig, prior: PriorConfig, K: int, state: ChainState,
-                rng, pre_step=None) -> PosteriorDraws:
+def _run_sweeps(cfg: McmcConfig, prior: PriorConfig, state: ChainState, rng,
+                pre_step=None) -> PosteriorDraws:
     """The sweep loop shared by every chain: steps, adaptation, snapshots.
 
     ``pre_step(state, rng)``, if given, runs at the top of every sweep and
@@ -320,7 +330,11 @@ def _run_sweeps(cfg: McmcConfig, prior: PriorConfig, K: int, state: ChainState,
     """
     step_mu, step_kh = prior.step_mu, prior.step_kh
     total = cfg.burnin + cfg.samples * cfg.thin
-    draws, extras, lls, lps = [], [], [], []
+    params, T = state.params, cfg.samples
+    h, sigma, lls, lps = (np.empty(T) for _ in range(4))
+    mu = np.empty((T, *params.mu.shape))
+    xi = np.empty((T, *params.xi.shape))
+    extras = []
     mu_prop = mu_acc = h_prop = h_acc = 0
     win_mu = [0, 0]
     win_h = [0, 0]
@@ -358,18 +372,18 @@ def _run_sweeps(cfg: McmcConfig, prior: PriorConfig, K: int, state: ChainState,
                 step_kh = min(step_kh, prior.h_hi - prior.h_lo)
                 win_h = [0, 0]
         if not in_burnin and (it - cfg.burnin + 1) % cfg.thin == 0:
-            snap = state.params.copy()
+            t = (it - cfg.burnin) // cfg.thin
+            params = state.params
             ll = state.loglik()
-            lp = ll + log_prior_density(prior, snap)
+            lp = ll + log_prior_density(prior, params)
             for term in extra_lp:
                 lp += term
             if not np.isfinite(lp):
                 raise FloatingPointError(
                     f"non-finite log-posterior at iteration {it}: loglik={ll}")
-            draws.append(snap)
+            h[t], mu[t], xi[t], sigma[t] = params.h, params.mu, params.xi, params.sigma
+            lls[t], lps[t] = ll, lp
             extras.append(extra)
-            lls.append(ll)
-            lps.append(lp)
     accept = {
         "mu": mu_acc / mu_prop if mu_prop else None,
         "h": h_acc / h_prop if h_prop else None,
@@ -377,5 +391,5 @@ def _run_sweeps(cfg: McmcConfig, prior: PriorConfig, K: int, state: ChainState,
         "final_step_mu": step_mu,
         "final_step_kh": step_kh,
     }
-    return PosteriorDraws(draws, np.array(lls), np.array(lps), accept, K,
-                          beta=np.array(extras) if pre_step is not None else None)
+    return PosteriorDraws(params.grid, params.m, params.kernel, h, mu, xi, sigma,
+                          lls, lps, accept, np.array(extras) if pre_step else None)

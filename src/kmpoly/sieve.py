@@ -94,7 +94,6 @@ class SieveConfig:
     tol: float = 1e-8
     max_outer: int = 50
     mu_grid: int = 21          # candidates per center coordinate per pass
-    refit_in_search: str = "auto"   # re-solve xi per candidate when cheap
     sigma0: float | None = None     # fixed noise scale; None -> residual sd
 
     def __post_init__(self):
@@ -111,29 +110,23 @@ class SieveFit:
     start_objectives: list = field(default_factory=list)
 
 
-def _objective(y, params, x):
-    r = y - basis_matrix(params, x) @ params.xi.ravel()
+def _fit_xi(params, data, B):
+    """Set params.xi to the box-constrained least-squares fit; return its RSS."""
+    psi = basis_matrix(params, data.x)
+    xi = solve_xi_box(data.y, psi, B)
+    params.xi[:] = xi.reshape(params.xi.shape)
+    r = data.y - psi @ xi
     return float(r @ r)
 
 
-class _Searcher:
-    """Shared machinery for evaluating candidate geometries."""
-
-    def __init__(self, data, cfg):
-        self.x = data.x
-        self.y = data.y
-        self.cfg = cfg
-
-    def with_geometry(self, params, mu, h, refit):
-        trial = KmpParams(params.grid, h, np.array(mu), params.xi.copy(),
-                          params.sigma, params.m, params.kernel)
-        if refit:
-            psi = basis_matrix(trial, self.x)
-            xi = solve_xi_box(self.y, psi, self.cfg.B)
-            trial.xi[:] = xi.reshape(trial.xi.shape)
-            r = self.y - psi @ xi
-            return trial, float(r @ r)
-        return trial, _objective(self.y, trial, self.x)
+def _rss_at(params, mu, h, data, cfg, refit):
+    """RSS with the geometry moved to (mu, h), refitting xi if ``refit``."""
+    trial = KmpParams(params.grid, h, np.array(mu), params.xi.copy(),
+                      params.sigma, params.m, params.kernel)
+    if refit:
+        return _fit_xi(trial, data, cfg.B)
+    r = data.y - basis_matrix(trial, data.x) @ trial.xi.ravel()
+    return float(r @ r)
 
 
 def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
@@ -147,10 +140,7 @@ def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
     K = cfg.K if cfg.K is not None else choose_Kn(data.n, cfg.alpha, p)
     grid = PartitionGrid(K, p)
     n_s = len(MultiIndexSet(p, cfg.m))
-    ncoef = grid.n_blocks * n_s
-    refit = cfg.refit_in_search == "always" or (
-        cfg.refit_in_search == "auto" and ncoef <= 12)
-    searcher = _Searcher(data, cfg)
+    refit = grid.n_blocks * n_s <= 12     # re-solve xi per candidate when cheap
 
     best = None
     start_objs = []
@@ -165,7 +155,7 @@ def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
         mu = grid.block_centers + mu_tilde / (2.0 * K)
         params = KmpParams(grid, kh / K, mu, np.zeros((grid.n_blocks, n_s)),
                            1.0, m=cfg.m, kernel=cfg.kernel)
-        fit = _descend(searcher, params, cfg, refit)
+        fit = _descend(data, params, cfg, refit)
         start_objs.append(fit.objective)
         if best is None or fit.objective < best.objective:
             best = fit
@@ -177,24 +167,15 @@ def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
     return best
 
 
-def _descend(searcher, params, cfg, refit):
-    x, y = searcher.x, searcher.y
-
-    def resolve_xi(params):
-        psi = basis_matrix(params, x)
-        xi = solve_xi_box(y, psi, cfg.B)
-        params.xi[:] = xi.reshape(params.xi.shape)
-        r = y - psi @ xi
-        return float(r @ r)
-
-    obj = resolve_xi(params)
+def _descend(data, params, cfg, refit):
+    obj = _fit_xi(params, data, cfg.B)
     converged = False
     it = 0
     for it in range(1, cfg.max_outer + 1):
         prev = obj
-        obj = _mu_sweep(searcher, params, obj, cfg, refit)
-        obj = _kh_search(searcher, params, obj, cfg, refit)
-        new_obj = resolve_xi(params)
+        obj = _mu_sweep(data, params, obj, cfg, refit)
+        obj = _kh_search(data, params, obj, cfg, refit)
+        new_obj = _fit_xi(params, data, cfg.B)
         assert new_obj <= obj + 1e-9 * (1 + obj), "objective increased"
         obj = min(obj, new_obj)
         if prev - obj <= cfg.tol * (1.0 + prev):
@@ -203,7 +184,7 @@ def _descend(searcher, params, cfg, refit):
     return SieveFit(params, obj, converged, it)
 
 
-def _mu_sweep(searcher, params, obj, cfg, refit):
+def _mu_sweep(data, params, obj, cfg, refit):
     grid = params.grid
     K = grid.K
     coarse = np.linspace(-1.0, 1.0, cfg.mu_grid)
@@ -228,26 +209,23 @@ def _mu_sweep(searcher, params, obj, cfg, refit):
                 for vv in vals:
                     if vv == cur:
                         continue
-                    _, trial_obj = searcher.with_geometry(
-                        params, mu_with(vv), params.h, refit)
+                    trial_obj = _rss_at(params, mu_with(vv), params.h, data,
+                                        cfg, refit)
                     if trial_obj < best_obj:
                         best_v, best_obj = float(vv), trial_obj
             if best_v != cur:
                 params.mu[:] = mu_with(best_v)
                 if refit:
-                    psi = basis_matrix(params, searcher.x)
-                    xi = solve_xi_box(searcher.y, psi, cfg.B)
-                    params.xi[:] = xi.reshape(params.xi.shape)
+                    _fit_xi(params, data, cfg.B)
                 obj = best_obj
     return obj
 
 
-def _kh_search(searcher, params, obj, cfg, refit):
+def _kh_search(data, params, obj, cfg, refit):
     K = params.grid.K
 
     def f(kh):
-        _, v = searcher.with_geometry(params, params.mu, kh / K, refit)
-        return v
+        return _rss_at(params, params.mu, kh / K, data, cfg, refit)
 
     grid_vals = np.linspace(cfg.h_lo, cfg.h_hi, cfg.mu_grid)
     objs = [f(v) for v in grid_vals]
@@ -275,9 +253,7 @@ def _kh_search(searcher, params, obj, cfg, refit):
     if best_obj < obj:
         params.h = best_kh / K
         if refit:
-            psi = basis_matrix(params, searcher.x)
-            xi = solve_xi_box(searcher.y, psi, cfg.B)
-            params.xi[:] = xi.reshape(params.xi.shape)
+            _fit_xi(params, data, cfg.B)
         return best_obj
     return obj
 

@@ -18,3 +18,6 @@ def test_removed_names_are_gone():
     assert not hasattr(sieve, "sieve_K")
     assert not hasattr(sieve, "mu_tilde_setter")
     assert "estimate_sigma" not in kmpoly.GpConfig.__dataclass_fields__
+    assert "refit_in_search" not in kmpoly.SieveConfig.__dataclass_fields__
+    # draws are stored as columns; `draws` is a derived view, not a field
+    assert "draws" not in kmpoly.PosteriorDraws.__dataclass_fields__

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kmpoly import (Dataset, basis_matrix, choose_Kn, conjugate_fit,
-                    empirical_l2, eval_f, fixed_design_params, pointwise_band)
+                    empirical_l2, eval_f, fixed_design_params, loglik,
+                    pointwise_band)
 
 from conftest import make_params, sine_data
 
@@ -80,7 +81,10 @@ def test_to_posterior_draws_supports_generic_summaries(rng):
     draws = post.to_posterior_draws(50, rng, data=data)
     band = pointwise_band(draws, np.linspace(0, 1, 30))
     assert band.mean.shape == (30,)
-    assert np.all(np.isfinite(draws.loglik))
+    # the batched scores match a per-draw log-likelihood
+    want = [loglik(d, data) for d in draws.draws]
+    np.testing.assert_allclose(draws.loglik, want, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(draws.logpost, draws.loglik)
 
 
 def test_band_coverage_calibrated():

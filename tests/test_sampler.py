@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kmpoly import (Dataset, McmcConfig, PosteriorDraws, PriorConfig,
-                    basis_matrix, core, eval_f, log_prior_density, loglik,
-                    run_chain, run_plm_chain, sample_prior)
+from kmpoly import (Dataset, McmcConfig, PartitionGrid, PosteriorDraws,
+                    PriorConfig, basis_matrix, core, eval_f, log_prior_density,
+                    loglik, run_chain, run_plm_chain, sample_prior)
 from kmpoly.sampler import ChainState, gibbs_xi, mh_h, mh_mu
 
 from conftest import make_params, sine_data
@@ -61,7 +61,10 @@ def test_batched_curves_match_basis_matrix(p, kernel, m, monkeypatch):
     prior = PriorConfig(m=m, kernel=kernel)
     draws = [sample_prior(prior, K, rng, p=p) for _ in range(10)]
     x = rng.uniform(0.0, 1.0, (37, p))
-    chain = PosteriorDraws(draws, np.zeros(10), np.zeros(10), {}, K)
+    chain = PosteriorDraws(PartitionGrid(K, p), m, kernel,
+                           *(np.array([getattr(d, c) for d in draws])
+                             for c in ("h", "mu", "xi", "sigma")),
+                           np.zeros(10), np.zeros(10))
     want = np.array([basis_matrix(d, x) @ d.xi.ravel() for d in draws])
     np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
     # batches of 3 draws: 10 is not a multiple of the batch size
@@ -74,7 +77,9 @@ def test_batched_curves_match_basis_matrix(p, kernel, m, monkeypatch):
 
 def test_curves_reject_empty_chain():
     with pytest.raises(ValueError, match="no draws"):
-        PosteriorDraws([], np.zeros(0), np.zeros(0), {}, 2).curves(np.array([0.5]))
+        PosteriorDraws(PartitionGrid(2), 0, "bump", np.zeros(0), np.zeros((0, 2, 1)),
+                       np.zeros((0, 2, 1)), np.zeros(0), np.zeros(0),
+                       np.zeros(0)).curves(np.array([0.5]))
 
 
 # ---------------------------------------------------------------- caches
@@ -87,19 +92,31 @@ def test_state_psi_matches_basis_matrix(rng):
     np.testing.assert_array_equal(state.psi, basis_matrix(params, data.x))
 
 
-def test_caches_stay_consistent_through_moves(rng):
-    prior = PriorConfig()
-    data = sine_data(60, seed=2)
-    state = _state(sample_prior(prior, 3, rng), data, prior)
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
+def test_caches_stay_consistent_through_moves(rng, p, kernel):
+    # the moves update phi, dist, psi and col_sq in place; each must equal a
+    # fresh recomputation bit for bit, and the residual to rounding
+    prior = PriorConfig(kernel=kernel, m=2 if p == 1 else 1)
+    if p == 1:
+        data = sine_data(60, seed=2)
+    else:
+        x = rng.uniform(0.0, 1.0, (60, 2))
+        data = Dataset(x, np.sin(2 * math.pi * x[:, 0]) + x[:, 1] ** 2)
+    state = _state(sample_prior(prior, 3, rng, p=p), data, prior)
+    mu0, h0 = state.params.mu.copy(), state.params.h
     for _ in range(25):
         gibbs_xi(state, rng)
         mh_mu(state, rng, 0.3)
         mh_h(state, rng, 0.1)
+    assert state.params.h != h0 and not np.array_equal(state.params.mu, mu0)
     np.testing.assert_array_equal(state.psi, basis_matrix(state.params, data.x))
-    np.testing.assert_allclose(
-        state.resid, data.y - state.psi @ state.params.xi.ravel(), atol=1e-10)
-    np.testing.assert_allclose(
-        state.col_sq, np.einsum("ij,ij->j", state.psi, state.psi), rtol=1e-12)
+    cached = {k: getattr(state, k).copy() for k in ("phi", "dist", "psi", "col_sq")}
+    resid = state.resid.copy()
+    state.refresh()
+    for name, value in cached.items():
+        np.testing.assert_array_equal(value, getattr(state, name), err_msg=name)
+    np.testing.assert_allclose(resid, state.resid, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------- gibbs_xi

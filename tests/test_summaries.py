@@ -3,24 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from kmpoly import (DicReport, McmcConfig, PosteriorDraws, PriorConfig, dic,
-                    dic_parts, l2_credible_set, pointwise_band, predict,
-                    run_chain, select_K)
+from kmpoly import (DicReport, McmcConfig, PartitionGrid, PosteriorDraws,
+                    PriorConfig, dic, dic_parts, l2_credible_set, pointwise_band,
+                    predict, run_chain, select_K)
 from kmpoly import summaries
 from kmpoly.summaries import grid_l2_norms
 
-from conftest import make_params, sine_data
+from conftest import sine_data
 
 
 def _const_draws(values, sigmas=None):
-    """Chain whose draws are constant curves at the given values."""
-    draws = []
-    for i, c in enumerate(np.atleast_1d(values)):
-        p = make_params(K=1, h=1.5, m=0, sigma=1.0 if sigmas is None else sigmas[i])
-        p.xi[0, 0] = c
-        draws.append(p)
-    lls = np.zeros(len(draws))
-    return PosteriorDraws(draws, lls, lls.copy(), {}, 1)
+    """Chain whose draws are constant curves at the given values: K = 1,
+    m = 0, Kh = 1.5 and the center in the middle of the block."""
+    c = np.atleast_1d(np.asarray(values, dtype=float))
+    T = c.shape[0]
+    sigma = np.ones(T) if sigmas is None else np.asarray(sigmas, dtype=float)
+    lls = np.zeros(T)
+    return PosteriorDraws(PartitionGrid(1), 0, "bump", np.full(T, 1.5),
+                          np.full((T, 1, 1), 0.5), c.reshape(T, 1, 1), sigma,
+                          lls, lls.copy())
 
 
 def _sorted_quantile(a, q):
@@ -165,7 +166,7 @@ def test_predict_rejects_bad_level(level):
 
 
 def test_predict_rejects_empty_draws():
-    empty = PosteriorDraws([], np.zeros(0), np.zeros(0), {}, 1)
+    empty = _const_draws([])
     with pytest.raises(ValueError, match="no draws"):
         predict(empty, np.array([0.5]))
 
