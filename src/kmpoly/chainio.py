@@ -61,8 +61,10 @@ def load_draws(csv_path, json_path=None):
 
     Every row must hold one number per column, the header's K in the K
     column and finite parameters (loglik and logpost may be NaN: a
-    conjugate chain drawn without data is not scored).  A malformed row
-    raises ValueError naming its file row (the header is row 1) and column.
+    conjugate chain drawn without data is not scored) that the model
+    allows: Kh > 1, every center in its block closure (the tolerance of
+    ``PartitionGrid.contains``) and sigma > 0.  A malformed row raises
+    ValueError naming its file row (the header is row 1) and column.
     """
     from .sampler import PosteriorDraws
 
@@ -91,17 +93,29 @@ def load_draws(csv_path, json_path=None):
                     _parse_cell(v, i, c)
     T = len(rows)
     table = np.array(rows).reshape(T, len(cols))
+    grid = PartitionGrid(K, p)
+    lo, hi = (b.ravel() for b in grid.closure())
+    h_col, mu_cols, s_col = q + 1, slice(q + 2, q + 2 + nb * p), len(cols) - 3
     bad = ~np.isfinite(table[:, :-2])
     bad[:, q] = table[:, q] != K
+    bad[:, h_col] |= ~(K * table[:, h_col] > 1.0)
+    bad[:, mu_cols] |= (table[:, mu_cols] < lo) | (table[:, mu_cols] > hi)
+    bad[:, s_col] |= ~(table[:, s_col] > 0.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        cell = f"cell '{float(table[i, j])}' at row {i + 2}, column {cols[j]!r}"
-        raise ValueError(f"K {cell} differs from the header's K = {K}" if j == q
-                         else f"non-finite chain {cell}")
+        v = float(table[i, j])
+        cell = f"cell '{v}' at row {i + 2}, column {cols[j]!r}"
+        raise ValueError(
+            f"K {cell} differs from the header's K = {K}" if j == q
+            else f"non-finite chain {cell}" if not np.isfinite(v)
+            else f"bandwidth {cell} gives Kh = {K * v} <= 1" if j == h_col
+            else f"sigma {cell} is not positive" if j == s_col
+            else f"center {cell} lies outside the closure of block "
+                 f"{(j - mu_cols.start) // p}")
     parts = np.split(table, np.cumsum([q, 1, 1, nb * p, nb * n_s, 1, 1]), axis=1)
     beta, _, h, mu, xi, sigma, lls, lps = map(np.ascontiguousarray, parts)
     return PosteriorDraws(
-        PartitionGrid(K, p), m, header["kernel"], h[:, 0], mu.reshape(T, nb, p),
+        grid, m, header["kernel"], h[:, 0], mu.reshape(T, nb, p),
         xi.reshape(T, nb, n_s), sigma[:, 0], lls[:, 0], lps[:, 0],
         header.get("accept", {}), beta=beta if q else None,
         meta=header.get("meta", {}),

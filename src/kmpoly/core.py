@@ -1,8 +1,9 @@
 """Partition geometry, boxed kernels, mixture weights and the polynomial basis.
 
 The regression function is a sum, over blocks of a hypercube partition of
-(0, 1]^p, of kernel-mixture weights multiplied by centered monomials.  All
-evaluation routines here are pure and vectorized over the input points.
+(0, 1]^p, of kernel-mixture weights (kernel values over their row sum, see
+:func:`normalize_weights`) multiplied by centered monomials.  All evaluation
+routines here are pure and vectorized over the input points.
 """
 
 from __future__ import annotations
@@ -75,11 +76,15 @@ class PartitionGrid:
             flat = flat * self.K + (kj[:, j] - 1)
         return flat
 
+    def closure(self):
+        """Bounds (lo, hi), each (K^p, p), of the closed blocks, 1e-12 wider."""
+        half = 0.5 / self.K
+        return self.block_centers - half - 1e-12, self.block_centers + half + 1e-12
+
     def contains(self, mu):
         """Check that mu[l] lies in the closure of block l for every l."""
         mu = np.asarray(mu, dtype=float)
-        lo = (self.block_centers - 0.5 / self.K) - 1e-12
-        hi = (self.block_centers + 0.5 / self.K) + 1e-12
+        lo, hi = self.closure()
         return bool(np.all(mu >= lo) and np.all(mu <= hi))
 
 
@@ -107,27 +112,11 @@ class KernelSpec:
         if self.family == "bump":
             # exponentiate only inside the support
             out = np.zeros(t.shape)
-            out[inside] = np.exp(_bump_log(t[inside]))
+            out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
             return out
         if self.family == "triangle":
             return np.where(inside, 1.0 - t, 0.0)
         return np.where(inside, 1.0 - t**2, 0.0)  # epanechnikov
-
-    def log_profile(self, t):
-        """log profile, -inf outside the support; stable for the bump family."""
-        t = np.asarray(t, dtype=float)
-        inside = t < 1.0
-        if self.family == "bump":
-            out = np.full(t.shape, -np.inf)
-            out[inside] = _bump_log(t[inside])
-            return out
-        with np.errstate(divide="ignore"):
-            return np.where(inside, np.log(self.profile(np.minimum(t, 1.0))), -np.inf)
-
-
-def _bump_log(t):
-    """log of the bump profile exp(-1 / (1 - t^2)) at radii t < 1."""
-    return -1.0 / (1.0 - t * t)
 
 
 def eval_kernel(spec: KernelSpec, v):
@@ -242,24 +231,17 @@ class KmpParams:
             raise ValueError("sigma outside its bounds")
 
 
-def weights_from_radii(family: str, r):
-    """Normalized mixture weights from precomputed radii r = dist/h, (..., K^p).
+def normalize_weights(phi):
+    """Mixture weights w_l = phi_l / sum_k phi_k from kernel values phi, (..., K^p).
 
-    Each row (last axis) is rescaled by its largest kernel log-value before
-    exponentiation, so the denominator never underflows.
+    Kh > 1 keeps every row sum positive: the nearest center is within
+    sup-distance 1/K < h of any point.  A zero row sum (Kh <= 1, or a bump
+    value underflowing just inside its support) raises FloatingPointError.
     """
-    spec = KernelSpec(family, 1.0)
-    if family == "bump":
-        logv = spec.log_profile(r)
-        rowmax = np.max(logv, axis=-1, keepdims=True)
-        if not np.all(np.isfinite(rowmax)):
-            raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-        w = np.exp(logv - rowmax)
-    else:
-        w = spec.profile(r)
-        if not np.all(np.max(w, axis=-1) > 0):
-            raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-    return w / np.sum(w, axis=-1, keepdims=True)
+    S = np.sum(phi, axis=-1, keepdims=True)
+    if not np.all(S > 0.0):
+        raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
+    return phi / S
 
 
 def mixture_weights(params: KmpParams, x):
@@ -268,12 +250,9 @@ def mixture_weights(params: KmpParams, x):
     Each row is nonnegative and sums to one; entry l vanishes exactly when
     ||x - mu_l||_inf >= h.
     """
-    grid = params.grid
-    x = _check_points(x, grid.p)
-    # sup-norm radii to every kernel center, (n, K^p)
-    diff = x[:, None, :] - params.mu[None, :, :]
-    r = np.max(np.abs(diff), axis=-1) / params.h
-    return weights_from_radii(params.kernel, r)
+    x = _check_points(x, params.grid.p)
+    diff = x[:, None, :] - params.mu[None, :, :]        # (n, K^p, p)
+    return normalize_weights(eval_kernel(params.spec, diff))
 
 
 def monomial_tensor(grid: PartitionGrid, m: int, x):
@@ -342,12 +321,14 @@ def _eval_curves(grid: PartitionGrid, m: int, kernel: str, h, mu, xi, x):
     mono = monomial_tensor(grid, m, x)                   # (n, K^p, n_s)
     n, nb = mono.shape[:2]
     T = h.shape[0]
+    spec = KernelSpec(kernel, 1.0)
     out = np.empty((T, n))
     step = max(1, BATCH_ELEMENTS // max(1, n * nb))
     for a in range(0, T, step):
         t = slice(a, a + step)
         diff = x[None, :, None, :] - mu[t, None, :, :]    # (t, n, K^p, p)
-        w = weights_from_radii(kernel, np.max(np.abs(diff), axis=-1) / h[t, None, None])
+        r = np.max(np.abs(diff), axis=-1) / h[t, None, None]
+        w = normalize_weights(spec.profile(r))
         # the optimal order, fixed to skip a path search per batch: the
         # monomials with xi over s first, then the weights over blocks
         out[t] = np.einsum("tnk,nks,tks->tn", w, mono, xi[t],

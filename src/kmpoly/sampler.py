@@ -3,9 +3,11 @@
 One sweep updates, in fixed order: every coefficient xi (exact truncated
 normal conditionals), each kernel center mu_k (reflected random-walk
 Metropolis), the bandwidth Kh (same), and sigma (exact truncated
-inverse-gamma conditional).  The basis matrix is cached and only rebuilt
-when mu or h moves, so a coefficient sweep costs O(n) per coordinate and
-no n-by-n factorization appears anywhere.
+inverse-gamma conditional).  The kernel values phi are cached and
+re-evaluated only at radii that a center or bandwidth move changes; the basis
+matrix is rebuilt from them, through core.normalize_weights, only when mu or
+h moves.  So a coefficient sweep costs O(n) per coordinate and no n-by-n
+factorization appears anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import chainio
 from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
 from .core import (KmpParams, PartitionGrid, _check_points, _eval_curves,
-                   eval_f, monomial_tensor, weights_from_radii)
+                   eval_f, monomial_tensor, normalize_weights)
 from .priors import PriorConfig, log_prior_density, sample_prior
 
 
@@ -61,9 +63,10 @@ def _loglik_resid(r, sigma):
 class ChainState:
     """Mutable sampler state: parameters plus basis/residual caches.
 
-    Geometry moves only touch the sup-norm distance matrix (one column per
-    center move) and the weight normalization; the centered-monomial tensor
-    is fixed by the design and precomputed once.  Nothing here ever
+    Geometry moves only touch the sup-norm distances and kernel values
+    (dist, phi: one column per center move) and renormalize phi into the
+    basis psi and its squared column norms col_sq; the centered-monomial
+    tensor is fixed by the design and precomputed once.  Nothing here ever
     factorizes an n-by-n matrix.
     """
 
@@ -80,9 +83,9 @@ class ChainState:
         """Sup-norm distances from every design point to every center."""
         return np.max(np.abs(self._x[:, None, :] - mu[None, :, :]), axis=-1)
 
-    def set_basis(self, r):
-        """Rebuild psi and its squared column norms from radii r = dist/h."""
-        w = weights_from_radii(self.params.kernel, r)
+    def set_basis(self):
+        """Rebuild psi and its squared column norms from the cached phi."""
+        w = normalize_weights(self.phi)
         n, nb, n_s = self.mono.shape
         self.psi = (w[:, :, None] * self.mono).reshape(n, nb * n_s)
         self.col_sq = np.einsum("ij,ij->j", self.psi, self.psi)
@@ -90,9 +93,8 @@ class ChainState:
     def refresh(self):
         """Recompute every cache from the current parameters."""
         self.dist = self._dist_to(self.params.mu)
-        r = self.dist / self.params.h
-        self.phi = self.params.spec.profile(r)
-        self.set_basis(r)
+        self.phi = self.params.spec.profile(self.dist / self.params.h)
+        self.set_basis()
         self.resid = self.data.y - self.psi @ self.params.xi.ravel()
 
     def loglik(self) -> float:
@@ -137,9 +139,9 @@ def mh_mu(state: ChainState, rng, step: float):
     Returns (state, n_accepted); centers never leave their block closures.
 
     The scan maintains the raw kernel sums S(x) = sum_l phi_h(x - mu_l) and
-    the weighted polynomial sums, so each proposal costs O(n).  This is
-    safe without the log-scale rescaling because Kh > 1 bounds S(x) below
-    by a positive constant (the nearest center is within sup-distance 1/K).
+    the weighted polynomial sums numer(x), so each proposal costs O(n); the
+    fit numer / S uses the weights of :func:`normalize_weights`, whose
+    Kh > 1 invariant keeps S positive.
     """
     grid = state.params.grid
     params = state.params
@@ -153,10 +155,8 @@ def mh_mu(state: ChainState, rng, step: float):
 
     phi = state.phi                                      # raw kernel values
     poly = np.einsum("nks,ks->nk", state.mono, params.xi)
-    S = phi.sum(axis=1)
+    S = phi.sum(axis=1)                                  # > 0: set_basis checked it
     numer = np.einsum("nk,nk->n", phi, poly)
-    if not np.all(S > 0.0):
-        raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
     cur_ll = state.loglik()
     resid = state.resid
     x1 = x[:, 0] if grid.p == 1 else None
@@ -190,7 +190,7 @@ def mh_mu(state: ChainState, rng, step: float):
             resid = r
             accepted += 1
     if accepted:
-        state.set_basis(state.dist / params.h)
+        state.set_basis()
         state.resid = resid
     return state, accepted
 
@@ -208,8 +208,7 @@ def mh_h(state: ChainState, rng, step: float):
     kh = K * params.h + step * rng.normal()
     kh = float(reflect(kh, cfg.h_lo, cfg.h_hi))
     h_new = kh / K
-    r_new = state.dist / h_new
-    phi_new = params.spec.profile(r_new)
+    phi_new = params.spec.profile(state.dist / h_new)
     S = phi_new.sum(axis=1)
     if not np.all(S > 0.0):
         raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
@@ -219,7 +218,7 @@ def mh_h(state: ChainState, rng, step: float):
     if math.log(rng.uniform()) < delta:
         params.h = h_new
         state.phi = phi_new
-        state.set_basis(r_new)
+        state.set_basis()
         state.resid = resid
         return state, 1
     return state, 0

@@ -99,6 +99,10 @@ class SieveConfig:
     def __post_init__(self):
         if self.tol <= 0 or self.multistart < 1:
             raise ValueError("need tol > 0 and multistart >= 1")
+        if not (1.0 < self.h_lo < self.h_hi):
+            raise ValueError("need 1 < h_lo < h_hi")
+        if self.mu_grid < 2:
+            raise ValueError("need mu_grid >= 2")
 
 
 @dataclass
@@ -120,13 +124,13 @@ def _fit_xi(params, data, B):
 
 
 def _rss_at(params, mu, h, data, cfg, refit):
-    """RSS with the geometry moved to (mu, h), refitting xi if ``refit``."""
+    """(RSS, xi) with the geometry moved to (mu, h), refitting xi if ``refit``."""
     trial = KmpParams(params.grid, h, np.array(mu), params.xi.copy(),
                       params.sigma, params.m, params.kernel)
     if refit:
-        return _fit_xi(trial, data, cfg.B)
+        return _fit_xi(trial, data, cfg.B), trial.xi
     r = data.y - basis_matrix(trial, data.x) @ trial.xi.ravel()
-    return float(r @ r)
+    return float(r @ r), trial.xi
 
 
 def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
@@ -198,7 +202,7 @@ def _mu_sweep(data, params, obj, cfg, refit):
                 mt[k, j] = v
                 return grid.block_centers + mt / (2.0 * K)
 
-            best_v, best_obj = cur, obj
+            best_v, best_obj, best_xi = cur, obj, None
             for v in [*coarse, None]:
                 if v is None:  # refine around the coarse winner
                     vals = np.clip(
@@ -209,14 +213,13 @@ def _mu_sweep(data, params, obj, cfg, refit):
                 for vv in vals:
                     if vv == cur:
                         continue
-                    trial_obj = _rss_at(params, mu_with(vv), params.h, data,
-                                        cfg, refit)
+                    trial_obj, trial_xi = _rss_at(params, mu_with(vv), params.h,
+                                                  data, cfg, refit)
                     if trial_obj < best_obj:
-                        best_v, best_obj = float(vv), trial_obj
+                        best_v, best_obj, best_xi = float(vv), trial_obj, trial_xi
             if best_v != cur:
                 params.mu[:] = mu_with(best_v)
-                if refit:
-                    _fit_xi(params, data, cfg.B)
+                params.xi[:] = best_xi
                 obj = best_obj
     return obj
 
@@ -225,12 +228,12 @@ def _kh_search(data, params, obj, cfg, refit):
     K = params.grid.K
 
     def f(kh):
-        return _rss_at(params, params.mu, kh / K, data, cfg, refit)
+        return _rss_at(params, params.mu, kh / K, data, cfg, refit)  # (RSS, xi)
 
     grid_vals = np.linspace(cfg.h_lo, cfg.h_hi, cfg.mu_grid)
-    objs = [f(v) for v in grid_vals]
-    i = int(np.argmin(objs))
-    best_kh, best_obj = float(grid_vals[i]), objs[i]
+    fits = [f(v) for v in grid_vals]
+    i = int(np.argmin([rss for rss, _ in fits]))
+    best_kh, (best_obj, best_xi) = float(grid_vals[i]), fits[i]
     lo = grid_vals[max(i - 1, 0)]
     hi = grid_vals[min(i + 1, len(grid_vals) - 1)]
     # golden-section refinement inside the bracketing interval
@@ -239,7 +242,7 @@ def _kh_search(data, params, obj, cfg, refit):
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(30):
-        if fc < fd:
+        if fc[0] < fd[0]:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = f(c)
@@ -247,13 +250,12 @@ def _kh_search(data, params, obj, cfg, refit):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
-    for kh, val in ((c, fc), (d, fd)):
+    for kh, (val, xi) in ((c, fc), (d, fd)):
         if val < best_obj:
-            best_kh, best_obj = float(kh), val
+            best_kh, best_obj, best_xi = float(kh), val, xi
     if best_obj < obj:
         params.h = best_kh / K
-        if refit:
-            _fit_xi(params, data, cfg.B)
+        params.xi[:] = best_xi
         return best_obj
     return obj
 

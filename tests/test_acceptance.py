@@ -11,6 +11,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from kmpoly import (Dataset, KmpParams, McmcConfig, PartitionGrid,
                     PriorConfig, ScenarioSpec, basis_matrix, conjugate_fit,
@@ -22,6 +23,8 @@ from kmpoly.plm import run_plm_chain
 from kmpoly.sampler import ChainState, gibbs_sigma, gibbs_xi
 from kmpoly.sieve import SieveConfig, fit_sieve_mle, solve_xi_box
 from kmpoly.summaries import pointwise_band, select_K
+
+pytestmark = pytest.mark.acceptance
 
 FULL = os.environ.get("KMP_ACCEPT_FULL") == "1"
 

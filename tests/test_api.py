@@ -21,3 +21,5 @@ def test_removed_names_are_gone():
     assert "refit_in_search" not in kmpoly.SieveConfig.__dataclass_fields__
     # draws are stored as columns; `draws` is a derived view, not a field
     assert "draws" not in kmpoly.PosteriorDraws.__dataclass_fields__
+    # one weight formula: kernel values over their row sum
+    assert not hasattr(kmpoly.KernelSpec, "log_profile")

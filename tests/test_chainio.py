@@ -86,6 +86,16 @@ def test_header_mismatch_detected(tmp_path):
                  "non-finite chain cell 'nan' at row 3, column 'mu_0'", id="nan_center"),
     pytest.param(lambda cells: cells[:4] + ["x"] + cells[5:],
                  "non-numeric cell 'x' at row 3, column 'xi_0'", id="non_numeric"),
+    # block 1 of K=2 is (0.5, 1]
+    pytest.param(lambda cells: cells[:3] + ["0.4"] + cells[4:],
+                 "center cell '0.4' at row 3, column 'mu_1' lies outside the "
+                 "closure of block 1", id="center_outside_block"),
+    pytest.param(lambda cells: cells[:1] + ["0.5"] + cells[2:],
+                 "bandwidth cell '0.5' at row 3, column 'h' gives Kh = 1.0 <= 1",
+                 id="kh_at_most_one"),
+    pytest.param(lambda cells: cells[:-3] + ["-1.0"] + cells[-2:],
+                 "sigma cell '-1.0' at row 3, column 'sigma' is not positive",
+                 id="negative_sigma"),
 ])
 def test_malformed_chain_rows_rejected(tmp_path, edit, match):
     # p=1, K=2, m=2: K, h, mu_0..1, xi_0..5, sigma, loglik, logpost

@@ -53,15 +53,6 @@ def test_kernel_support_exact_near_boundary():
     assert vals[1] == 0.0 and vals[2] == 0.0
 
 
-def test_log_profile_matches_log_of_profile():
-    for family in ("bump", "triangle", "epanechnikov"):
-        spec = KernelSpec(family, 1.0)
-        t = np.linspace(0.0, 0.99, 57)
-        np.testing.assert_allclose(spec.log_profile(t), np.log(spec.profile(t)),
-                                   rtol=1e-12, atol=1e-12)
-        assert spec.log_profile(np.array(1.0)) == -np.inf
-
-
 def test_kernel_spec_rejects_bad_input():
     with pytest.raises(ValueError):
         KernelSpec("gaussian", 1.0)
@@ -154,10 +145,27 @@ def test_weights_all_families_normalize(rng):
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_weights_are_kernel_values_over_row_sum(rng):
+    for family in ("bump", "triangle", "epanechnikov"):
+        params = make_params(K=5, h=1.4 / 5, m=0, kernel=family,
+                             mu_tilde=rng.uniform(-1.0, 1.0, (5, 1)))
+        x = rng.uniform(0.0, 1.0, (200, 1))
+        phi = KernelSpec(family, 1.0).profile(np.abs(x - params.mu.T) / params.h)
+        np.testing.assert_array_equal(mixture_weights(params, x),
+                                      phi / phi.sum(-1, keepdims=True))
+
+
 def test_weights_empty_neighborhood_raises():
     # Kh < 1 leaves gaps between kernel supports
     params = make_params(K=4, h=0.5 / 4, m=0)
     with pytest.raises(FloatingPointError):
+        mixture_weights(params, np.array([0.25]))
+    # Kh just above 1 with centers at 0 and 0.5: x = 0.25 sits at radius
+    # 0.9999, where the bump exp(-1 / (1 - r^2)) underflows to 0
+    params = make_params(K=4, h=1.0001 / 4, m=0,
+                         mu_tilde=[[-1.0], [1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(params.mu.ravel(), [0.0, 0.5, 0.625, 0.875])
+    with pytest.raises(FloatingPointError, match="empty kernel neighborhood"):
         mixture_weights(params, np.array([0.25]))
 
 

@@ -4,6 +4,7 @@ from scipy.optimize import lsq_linear
 
 from kmpoly import (Dataset, SieveConfig, basis_matrix, choose_Kn, eval_f,
                     fit_sieve_mle)
+from kmpoly import sieve
 from kmpoly.sieve import solve_xi_box
 
 from conftest import make_params, sine_data
@@ -104,8 +105,37 @@ def test_fixed_sigma0_propagates(rng):
     assert fit.params.sigma == 0.25
 
 
+def test_accepted_moves_reuse_the_candidate_solve(monkeypatch):
+    # K=2, m=1 has 4 coefficients, so refit is on: _rss_at solves xi once per
+    # candidate geometry and an accepted move keeps that solve; the only
+    # other solves are _descend's, one at the start and one per outer pass
+    calls = {"solve": 0, "rss": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sieve, "solve_xi_box", counted("solve", solve_xi_box))
+    monkeypatch.setattr(sieve, "_rss_at", counted("rss", sieve._rss_at))
+    data = sine_data(40, seed=3)
+    cfg = SieveConfig(K=2, m=1, multistart=1, max_outer=3)
+    fit = fit_sieve_mle(data, cfg, np.random.default_rng(0))
+    assert calls["solve"] == calls["rss"] + 1 + fit.n_outer
+    np.testing.assert_array_equal(
+        fit.params.xi.ravel(),
+        solve_xi_box(data.y, basis_matrix(fit.params, data.x), cfg.B))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SieveConfig(tol=0.0)
     with pytest.raises(ValueError):
         SieveConfig(multistart=0)
+    with pytest.raises(ValueError, match=r"need 1 < h_lo < h_hi"):
+        SieveConfig(h_lo=2.0, h_hi=1.2)
+    with pytest.raises(ValueError, match=r"need 1 < h_lo < h_hi"):
+        SieveConfig(h_lo=0.5)
+    with pytest.raises(ValueError, match=r"need mu_grid >= 2"):
+        SieveConfig(mu_grid=1)
