@@ -10,9 +10,13 @@ import json
 
 import numpy as np
 
-from .core import PartitionGrid
+from .core import PartitionGrid, draw_violations
 from .dataset import _parse_cell
 from .io_utils import atomic_write, write_json
+
+
+# how a malformed-row message names each checked column
+_KIND = {"h": "bandwidth", "mu": "center", "xi": "coefficient", "sigma": "sigma"}
 
 
 def _columns(p, nb, n_s, q):
@@ -62,9 +66,10 @@ def load_draws(csv_path, json_path=None):
     Every row must hold one number per column, the header's K in the K
     column and finite parameters (loglik and logpost may be NaN: a
     conjugate chain drawn without data is not scored) that the model
-    allows: Kh > 1, every center in its block closure (the tolerance of
-    ``PartitionGrid.contains``) and sigma > 0.  A malformed row raises
-    ValueError naming its file row (the header is row 1) and column.
+    allows, as :func:`core.draw_violations` checks them with its default
+    bounds: Kh > 1, every center in its block closure and sigma > 0.  A
+    malformed row raises ValueError naming its file row (the header is
+    row 1) and column.
     """
     from .sampler import PosteriorDraws
 
@@ -94,26 +99,30 @@ def load_draws(csv_path, json_path=None):
     T = len(rows)
     table = np.array(rows).reshape(T, len(cols))
     grid = PartitionGrid(K, p)
-    lo, hi = (b.ravel() for b in grid.closure())
-    h_col, mu_cols, s_col = q + 1, slice(q + 2, q + 2 + nb * p), len(cols) - 3
+    starts = np.cumsum([0, q, 1, 1, nb * p, nb * n_s, 1, 1]).tolist()
+    parts = np.split(table, starts[1:], axis=1)
+    beta, _, h, mu, xi, sigma, lls, lps = map(np.ascontiguousarray, parts)
+    checks = draw_violations(grid, h[:, 0], mu.reshape(T, nb, p),
+                             xi.reshape(T, nb, n_s), sigma[:, 0])
+    first = dict(zip(("h", "mu", "xi", "sigma"), starts[2:6]))  # table column
     bad = ~np.isfinite(table[:, :-2])
     bad[:, q] = table[:, q] != K
-    bad[:, h_col] |= ~(K * table[:, h_col] > 1.0)
-    bad[:, mu_cols] |= (table[:, mu_cols] < lo) | (table[:, mu_cols] > hi)
-    bad[:, s_col] |= ~(table[:, s_col] > 0.0)
+    for name, mask, _ in checks:
+        flat = mask.reshape(T, -1)
+        bad[:, first[name]:first[name] + flat.shape[1]] |= flat
     if bad.any():
         i, j = np.argwhere(bad)[0]
         v = float(table[i, j])
         cell = f"cell '{v}' at row {i + 2}, column {cols[j]!r}"
-        raise ValueError(
-            f"K {cell} differs from the header's K = {K}" if j == q
-            else f"non-finite chain {cell}" if not np.isfinite(v)
-            else f"bandwidth {cell} gives Kh = {K * v} <= 1" if j == h_col
-            else f"sigma {cell} is not positive" if j == s_col
-            else f"center {cell} lies outside the closure of block "
-                 f"{(j - mu_cols.start) // p}")
-    parts = np.split(table, np.cumsum([q, 1, 1, nb * p, nb * n_s, 1, 1]), axis=1)
-    beta, _, h, mu, xi, sigma, lls, lps = map(np.ascontiguousarray, parts)
+        if j == q:
+            raise ValueError(f"K {cell} differs from the header's K = {K}")
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite chain {cell}")
+        for name, mask, reason in checks:
+            flat, c = mask.reshape(T, -1), j - first[name]
+            if 0 <= c < flat.shape[1] and flat[i, c]:
+                index = (i, *np.unravel_index(c, mask.shape[1:]))
+                raise ValueError(f"{_KIND[name]} {cell} {reason(v, index)}")
     return PosteriorDraws(
         grid, m, header["kernel"], h[:, 0], mu.reshape(T, nb, p),
         xi.reshape(T, nb, n_s), sigma[:, 0], lls[:, 0], lps[:, 0],

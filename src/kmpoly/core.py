@@ -216,29 +216,65 @@ class KmpParams:
 
     def validate(self, B=np.inf, h_lo=1.0, h_hi=np.inf,
                  sigma_lo=0.0, sigma_hi=np.inf):
-        """Raise if any constraint of the function class is violated."""
-        K = self.grid.K
-        kh = K * self.h
-        if not (h_lo - 1e-12 <= kh <= h_hi + 1e-12):
-            raise ValueError(f"Kh = {kh} outside [{h_lo}, {h_hi}]")
-        if kh <= 1.0:
-            raise ValueError("need Kh > 1 for a positive weight denominator")
-        if not self.grid.contains(self.mu):
-            raise ValueError("some kernel center left its block")
-        if np.max(np.abs(self.xi)) > B + 1e-12:
-            raise ValueError("coefficient outside [-B, B]")
-        if not (sigma_lo - 1e-12 <= self.sigma <= sigma_hi + 1e-12):
-            raise ValueError("sigma outside its bounds")
+        """Raise ValueError naming the first constraint of the function class
+        that this draw breaks: the T=1 case of :func:`draw_violations`."""
+        cols = {"h": np.array([self.h]), "mu": self.mu[None],
+                "xi": self.xi[None], "sigma": np.array([self.sigma])}
+        for name, bad, reason in draw_violations(self.grid, *cols.values(), B,
+                                                 h_lo, h_hi, sigma_lo, sigma_hi):
+            if bad.any():
+                i = tuple(np.argwhere(bad)[0])
+                v = cols[name][i]
+                raise ValueError(f"{name} = {v} {reason(v, i)}")
 
 
-def normalize_weights(phi):
+def draw_violations(grid: PartitionGrid, h, mu, xi, sigma, B=np.inf, h_lo=1.0,
+                    h_hi=np.inf, sigma_lo=0.0, sigma_hi=np.inf):
+    """Where T stacked draws leave the function class, one condition at a time.
+
+    h and sigma are (T,), mu (T, K^p, p) and xi (T, K^p, n_s).  Returns a
+    list of (column, mask, reason): the mask, shaped like the column, is
+    True where a value breaks the condition, and ``reason(value, index)``
+    words it.  The conditions, in order: finite values, Kh > 1,
+    h_lo <= Kh <= h_hi, every center in its block's closure, |xi| <= B,
+    sigma > 0 and sigma_lo <= sigma <= sigma_hi, the given bounds widened
+    by 1e-12.
+    """
+    K, tol = grid.K, 1e-12
+    kh = K * h
+    lo, hi = grid.closure()
+    cols = {"h": h, "mu": mu, "xi": xi, "sigma": sigma}
+    checks = [(name, ~np.isfinite(v), lambda v, i: "is not finite")
+              for name, v in cols.items()]
+    return checks + [
+        ("h", ~(kh > 1.0), lambda v, i: f"gives Kh = {K * v} <= 1"),
+        ("h", ~(kh >= h_lo - tol),
+         lambda v, i: f"gives Kh = {K * v} below h_lo = {h_lo}"),
+        ("h", ~(kh <= h_hi + tol),
+         lambda v, i: f"gives Kh = {K * v} above h_hi = {h_hi}"),
+        ("mu", ~((mu >= lo) & (mu <= hi)),
+         lambda v, i: f"lies outside the closure of block {i[-2]}"),
+        ("xi", ~(np.abs(xi) <= B + tol),
+         lambda v, i: f"lies outside [-B, B] with B = {B}"),
+        ("sigma", ~(sigma > 0.0), lambda v, i: "is not positive"),
+        ("sigma", ~(sigma >= sigma_lo - tol),
+         lambda v, i: f"is below sigma_lo = {sigma_lo}"),
+        ("sigma", ~(sigma <= sigma_hi + tol),
+         lambda v, i: f"is above sigma_hi = {sigma_hi}"),
+    ]
+
+
+def normalize_weights(phi, S=None):
     """Mixture weights w_l = phi_l / sum_k phi_k from kernel values phi, (..., K^p).
 
-    Kh > 1 keeps every row sum positive: the nearest center is within
-    sup-distance 1/K < h of any point.  A zero row sum (Kh <= 1, or a bump
-    value underflowing just inside its support) raises FloatingPointError.
+    ``S``, if given, holds the row sums already formed, broadcast against
+    phi (the sampler passes one per kernel value it keeps).  Kh > 1 keeps
+    every row sum positive: the nearest center is within sup-distance
+    1/K < h of any point.  A zero row sum (Kh <= 1, or a bump value
+    underflowing just inside its support) raises FloatingPointError.
     """
-    S = np.sum(phi, axis=-1, keepdims=True)
+    if S is None:
+        S = np.sum(phi, axis=-1, keepdims=True)
     if not np.all(S > 0.0):
         raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
     return phi / S

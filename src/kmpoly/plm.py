@@ -79,7 +79,7 @@ def run_plm_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
         state.params.sigma = 1.0
 
     def beta_block(state, rng):
-        eta_vals = state.psi @ state.params.xi.ravel()
+        eta_vals = sub.y - state.resid
         beta = gibbs_beta(data, eta_vals, tau, rng, state.params.sigma)
         sub.y = data.y - data.z @ beta
         state.resid = sub.y - eta_vals

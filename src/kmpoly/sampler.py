@@ -3,11 +3,13 @@
 One sweep updates, in fixed order: every coefficient xi (exact truncated
 normal conditionals), each kernel center mu_k (reflected random-walk
 Metropolis), the bandwidth Kh (same), and sigma (exact truncated
-inverse-gamma conditional).  The kernel values phi are cached and
-re-evaluated only at radii that a center or bandwidth move changes; the basis
-matrix is rebuilt from them, through core.normalize_weights, only when mu or
-h moves.  So a coefficient sweep costs O(n) per coordinate and no n-by-n
-factorization appears anywhere.
+inverse-gamma conditional).  Kernels have compact support, so the state
+lists once the (point, block) pairs where a kernel can be nonzero and keeps
+its distances, kernel values and monomials on those pairs only, with the
+kernel row sums and the residuals per point (see :class:`ChainState`).  A
+coefficient or center step then costs O(pairs of its block) and a bandwidth
+step O(pairs), about O(n Kh) each rather than O(n K^p); no dense basis
+matrix is kept and no n-by-n factorization appears anywhere.
 """
 
 from __future__ import annotations
@@ -61,13 +63,19 @@ def _loglik_resid(r, sigma):
 
 
 class ChainState:
-    """Mutable sampler state: parameters plus basis/residual caches.
+    """Mutable sampler state: parameters plus caches on the kernel support.
 
-    Geometry moves only touch the sup-norm distances and kernel values
-    (dist, phi: one column per center move) and renormalize phi into the
-    basis psi and its squared column norms col_sq; the centered-monomial
-    tensor is fixed by the design and precomputed once.  Nothing here ever
-    factorizes an n-by-n matrix.
+    A kernel is zero beyond sup-distance h <= h_hi / K of its center, and a
+    center stays in the closure of its block, so design point i can lie in
+    kernel k's support only if it is within (1/2 + h_hi) / K of block k's
+    fixed center.  The constructor lists those (point, block) pairs once,
+    sorted by block (block k owns pairs ``offsets[k]:offsets[k + 1]``, at
+    design rows ``rows`` and blocks ``blk``), and every cache lives on them:
+    the sup-distances to the centers (dist), the kernel values (phi) and the
+    centered monomials (mono, (n_s, pairs), fixed by the design).  Per design point it
+    keeps the kernel row sum S and the residual resid.  A center move
+    touches only its block's pairs, and nothing here ever factorizes an
+    n-by-n matrix.
     """
 
     def __init__(self, params: KmpParams, data, prior: PriorConfig):
@@ -75,27 +83,54 @@ class ChainState:
         self.data = data
         self.prior = prior
         self.xi_fallbacks = 0
-        self._x = _check_points(data.x, params.grid.p)
-        self.mono = monomial_tensor(params.grid, params.m, self._x)
+        grid = params.grid
+        self._x = _check_points(data.x, grid.p)
+        # Kh never exceeds h_hi or its start (mh_h reflects into
+        # [h_lo, h_hi]); 1e-9 covers centers on the 1e-12-wide block closure
+        # and rounding in the distances
+        kh = max(prior.h_hi, grid.K * params.h)
+        radius = (0.5 + kh) / grid.K + 1e-9
+        near = np.max(np.abs(self._x[None] - grid.block_centers[:, None]), axis=-1)
+        self.blk, self.rows = np.nonzero(near < radius)
+        self.offsets = np.searchsorted(
+            self.blk, np.arange(grid.n_blocks + 1)).tolist()
+        self._xp = self._x[self.rows]
+        mono = monomial_tensor(grid, params.m, self._x)[self.rows, self.blk]
+        self.mono = np.ascontiguousarray(mono.T)            # (n_s, pairs)
         self.refresh()
 
-    def _dist_to(self, mu):
-        """Sup-norm distances from every design point to every center."""
-        return np.max(np.abs(self._x[:, None, :] - mu[None, :, :]), axis=-1)
+    def _row_sums(self, phi):
+        """Per-point sums of values on the pairs."""
+        return np.bincount(self.rows, weights=phi, minlength=self.data.n)
 
-    def set_basis(self):
-        """Rebuild psi and its squared column norms from the cached phi."""
-        w = normalize_weights(self.phi)
-        n, nb, n_s = self.mono.shape
-        self.psi = (w[:, :, None] * self.mono).reshape(n, nb * n_s)
-        self.col_sq = np.einsum("ij,ij->j", self.psi, self.psi)
+    def _fit(self, phi, S):
+        """Fitted values sum_k w_k(x) P_k(x - mu*_k) from kernel values and
+        their row sums, with the weights of :func:`normalize_weights`."""
+        w = normalize_weights(phi, S[self.rows])
+        off, xi = self.offsets, self.params.xi
+        poly = np.concatenate([xi[k] @ self.mono[:, off[k]:off[k + 1]]
+                               for k in range(xi.shape[0])])
+        return self._row_sums(w * poly)
 
     def refresh(self):
         """Recompute every cache from the current parameters."""
-        self.dist = self._dist_to(self.params.mu)
-        self.phi = self.params.spec.profile(self.dist / self.params.h)
-        self.set_basis()
-        self.resid = self.data.y - self.psi @ self.params.xi.ravel()
+        params = self.params
+        self.dist = np.max(np.abs(self._xp - params.mu[self.blk]), axis=-1)
+        self.phi = params.spec.profile(self.dist / params.h)
+        self.S = self._row_sums(self.phi)
+        self.resid = self.data.y - self._fit(self.phi, self.S)
+
+    @property
+    def psi(self):
+        """Dense basis matrix (n, K^p * n_s) built from the cached kernel
+        values, bit-identical to :func:`basis_matrix`; not kept."""
+        grid = self.params.grid
+        phi = np.zeros((self.data.n, grid.n_blocks))
+        phi[self.rows, self.blk] = self.phi
+        w = normalize_weights(phi)
+        mono = monomial_tensor(grid, self.params.m, self._x)
+        n, nb, n_s = mono.shape
+        return (w[:, :, None] * mono).reshape(n, nb * n_s)
 
     def loglik(self) -> float:
         return _loglik_resid(self.resid, self.params.sigma)
@@ -105,31 +140,41 @@ def gibbs_xi(state: ChainState, rng) -> ChainState:
     """One fixed-order sweep of exact coefficient conditionals.
 
     With a (possibly truncated) normal coefficient prior and Gaussian
-    likelihood, each conditional is normal truncated to [-B, B].
+    likelihood, each conditional is normal truncated to [-B, B].  Block k's
+    basis columns are nonzero only on its pairs, so its coordinates work on
+    the residuals of those rows alone.
     """
     cfg = state.prior
     sigma2 = state.params.sigma**2
     prior_sd = cfg._xi_sd(state.params.sigma)
-    flat = state.params.xi.reshape(-1)
-    psi, resid = state.psi, state.resid
     flat_prior = cfg.xi_dist == "uniform"
-    for j in range(flat.shape[0]):
-        col = psi[:, j]
-        d = state.col_sq[j]
-        old = flat[j]
-        g = float(col @ resid) + d * old       # inner product with xi_j removed
-        prec = d / sigma2 + (0.0 if flat_prior else 1.0 / prior_sd**2)
-        if not (prec > 0 and np.isfinite(prec)):
-            # degenerate conditional: fall back to a prior draw
-            state.xi_fallbacks += 1
-            new = (rng.uniform(-cfg.B, cfg.B) if flat_prior
-                   else truncnorm_sample(rng, 0.0, prior_sd, -cfg.B, cfg.B))
-        else:
-            mean = (g / sigma2) / prec
-            new = truncnorm_sample(rng, mean, 1.0 / math.sqrt(prec), -cfg.B, cfg.B)
-        if new != old:
-            resid -= col * (new - old)
-            flat[j] = new
+    prior_prec = 0.0 if flat_prior else 1.0 / prior_sd**2
+    xi = state.params.xi
+    # basis columns on the pairs, each contiguous: (n_s, pairs)
+    cols = state.mono * normalize_weights(state.phi, state.S[state.rows])
+    resid, off = state.resid, state.offsets
+    for k in range(xi.shape[0]):
+        a, b = off[k], off[k + 1]
+        rows = state.rows[a:b]
+        r = resid[rows]
+        xi_k = xi[k]
+        for j, col in enumerate(cols[:, a:b]):
+            d = float(col @ col)
+            old = float(xi_k[j])
+            g = float(col @ r) + d * old       # inner product with xi_kj removed
+            prec = d / sigma2 + prior_prec
+            if not (prec > 0 and math.isfinite(prec)):
+                # degenerate conditional: fall back to a prior draw
+                state.xi_fallbacks += 1
+                new = (rng.uniform(-cfg.B, cfg.B) if flat_prior
+                       else truncnorm_sample(rng, 0.0, prior_sd, -cfg.B, cfg.B))
+            else:
+                mean = (g / sigma2) / prec
+                new = truncnorm_sample(rng, mean, 1.0 / math.sqrt(prec), -cfg.B, cfg.B)
+            if new != old:
+                r -= col * (new - old)
+                xi_k[j] = new
+        resid[rows] = r
     return state
 
 
@@ -138,69 +183,53 @@ def mh_mu(state: ChainState, rng, step: float):
 
     Returns (state, n_accepted); centers never leave their block closures.
 
-    The scan maintains the raw kernel sums S(x) = sum_l phi_h(x - mu_l) and
-    the weighted polynomial sums numer(x), so each proposal costs O(n); the
-    fit numer / S uses the weights of :func:`normalize_weights`, whose
-    Kh > 1 invariant keeps S positive.
+    A move of center k changes kernel values only on block k's pairs, so
+    each proposal updates the row sums S, the fit and the log-likelihood on
+    those rows: with fit = y - resid and dphi the kernel change, the new fit
+    is fit + dphi (P_k - fit) / S_new, where S_new = S + dphi stays positive
+    under the Kh > 1 invariant of :func:`normalize_weights`.
     """
-    grid = state.params.grid
     params = state.params
-    spec = params.spec
-    x = state._x
-    y = state.data.y
-    sigma = params.sigma
-    K = grid.K
+    grid = params.grid
+    K, p = grid.K, grid.p
     centers = grid.block_centers
+    spec, h, xi = params.spec, params.h, params.xi
+    y, S, resid = state.data.y, state.S, state.resid
+    half_prec = 0.5 / params.sigma**2
+    off = state.offsets
     accepted = 0
-
-    phi = state.phi                                      # raw kernel values
-    poly = np.einsum("nks,ks->nk", state.mono, params.xi)
-    S = phi.sum(axis=1)                                  # > 0: set_basis checked it
-    numer = np.einsum("nk,nk->n", phi, poly)
-    cur_ll = state.loglik()
-    resid = state.resid
-    x1 = x[:, 0] if grid.p == 1 else None
-    for k in range(grid.n_blocks):
-        if x1 is not None:
-            # scalar fast path: one center coordinate, no tiny-array churn
-            mt_k = 2.0 * K * (params.mu[k, 0] - centers[k, 0])
-            prop = float(reflect(mt_k + step * rng.normal(), -1.0, 1.0))
-            new_mu_k = np.array([centers[k, 0] + prop / (2.0 * K)])
-            col = np.abs(x1 - new_mu_k[0])
-        else:
+    # Kh > 1 keeps every S_new positive; a zero division below means that
+    # invariant was violated
+    with np.errstate(divide="raise", invalid="raise"):
+        for k in range(grid.n_blocks):
             mt_k = 2.0 * K * (params.mu[k] - centers[k])
-            prop = reflect(mt_k + step * rng.normal(size=grid.p), -1.0, 1.0)
+            prop = reflect(mt_k + step * rng.normal(size=p), -1.0, 1.0)
             new_mu_k = centers[k] + prop / (2.0 * K)
-            col = np.max(np.abs(x - new_mu_k[None, :]), axis=-1)
-        phi_new = spec.profile(col / params.h)
-        S_new = S - phi[:, k] + phi_new
-        numer_new = numer + (phi_new - phi[:, k]) * poly[:, k]
-        with np.errstate(divide="raise", invalid="raise"):
-            # Kh > 1 keeps every S_new positive; a zero division here
-            # means that invariant was violated
-            r = y - numer_new / S_new
-        new_ll = _loglik_resid(r, sigma)
-        if math.log(rng.uniform()) < new_ll - cur_ll:
-            phi[:, k] = phi_new
-            S = S_new
-            numer = numer_new
-            state.dist[:, k] = col
-            params.mu[k] = new_mu_k
-            cur_ll = new_ll
-            resid = r
-            accepted += 1
-    if accepted:
-        state.set_basis()
-        state.resid = resid
+            a, b = off[k], off[k + 1]
+            rows = state.rows[a:b]
+            dist = np.abs(state._xp[a:b] - new_mu_k).max(axis=-1)
+            phi_new = spec.profile(dist / h)
+            dphi = phi_new - state.phi[a:b]
+            S_new = S[rows] + dphi
+            r = resid[rows]
+            r_new = r - dphi * (xi[k] @ state.mono[:, a:b] - (y[rows] - r)) / S_new
+            delta = half_prec * (float(r @ r) - float(r_new @ r_new))
+            if math.log(rng.uniform()) < delta:
+                state.phi[a:b] = phi_new
+                state.dist[a:b] = dist
+                S[rows] = S_new
+                resid[rows] = r_new
+                params.mu[k] = new_mu_k
+                accepted += 1
     return state, accepted
 
 
 def mh_h(state: ChainState, rng, step: float):
     """Reflected random walk on Kh in [h_lo, h_hi]; returns (state, accepted).
 
-    The proposal log-likelihood is evaluated through the raw kernel sums
-    (see mh_mu); the basis cache is rebuilt only when the move is accepted.
-    The uniform bandwidth density cancels from the Metropolis ratio.
+    The proposal re-evaluates the kernel on every pair and forms the row
+    sums and the fit by per-point sums.  The uniform bandwidth density
+    cancels from the Metropolis ratio.
     """
     cfg = state.prior
     params = state.params
@@ -208,18 +237,13 @@ def mh_h(state: ChainState, rng, step: float):
     kh = K * params.h + step * rng.normal()
     kh = float(reflect(kh, cfg.h_lo, cfg.h_hi))
     h_new = kh / K
-    phi_new = params.spec.profile(state.dist / h_new)
-    S = phi_new.sum(axis=1)
-    if not np.all(S > 0.0):
-        raise FloatingPointError("empty kernel neighborhood; is Kh > 1?")
-    poly = np.einsum("nks,ks->nk", state.mono, params.xi)
-    resid = state.data.y - np.einsum("nk,nk->n", phi_new, poly) / S
+    phi = params.spec.profile(state.dist / h_new)
+    S = state._row_sums(phi)
+    resid = state.data.y - state._fit(phi, S)
     delta = _loglik_resid(resid, params.sigma) - state.loglik()
     if math.log(rng.uniform()) < delta:
         params.h = h_new
-        state.phi = phi_new
-        state.set_basis()
-        state.resid = resid
+        state.phi, state.S, state.resid = phi, S, resid
         return state, 1
     return state, 0
 
@@ -301,17 +325,24 @@ def _initial_state(cfg: McmcConfig, prior: PriorConfig, K: int, data, rng):
         from .sieve import solve_xi_box
 
         # warm start only: a loose box-constrained solve is plenty
-        xi = solve_xi_box(data.y, state.psi, prior.B, tol=1e-6, max_sweeps=50)
+        psi = state.psi
+        xi = solve_xi_box(data.y, psi, prior.B, tol=1e-6, max_sweeps=50)
         state.params.xi[:] = xi.reshape(state.params.xi.shape)
-        state.resid = data.y - state.psi @ xi
+        state.resid = data.y - psi @ xi
     return state
 
 
 def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
               init_params: KmpParams | None = None) -> PosteriorDraws:
-    """Run the full Metropolis-within-Gibbs chain; deterministic given seed."""
+    """Run the full Metropolis-within-Gibbs chain; deterministic given seed.
+
+    ``init_params``, if given, must lie inside the prior's bounds (B, h_lo,
+    h_hi, sigma_lo, sigma_hi); a violation raises ValueError naming it.
+    """
     rng = np.random.default_rng(cfg.seed)
     if init_params is not None:
+        init_params.validate(prior.B, prior.h_lo, prior.h_hi, prior.sigma_lo,
+                             prior.sigma_hi)
         state = ChainState(init_params.copy(), data, prior)
     else:
         state = _initial_state(cfg, prior, K, data, rng)

@@ -179,9 +179,11 @@ def _descend(data, params, cfg, refit):
         prev = obj
         obj = _mu_sweep(data, params, obj, cfg, refit)
         obj = _kh_search(data, params, obj, cfg, refit)
-        new_obj = _fit_xi(params, data, cfg.B)
-        assert new_obj <= obj + 1e-9 * (1 + obj), "objective increased"
-        obj = min(obj, new_obj)
+        if not refit:
+            # with refit on, params.xi already is the solve at this geometry
+            new_obj = _fit_xi(params, data, cfg.B)
+            assert new_obj <= obj + 1e-9 * (1 + obj), "objective increased"
+            obj = min(obj, new_obj)
         if prev - obj <= cfg.tol * (1.0 + prev):
             converged = True
             break

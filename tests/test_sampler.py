@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,31 +94,70 @@ def test_state_psi_matches_basis_matrix(rng):
     np.testing.assert_array_equal(state.psi, basis_matrix(params, data.x))
 
 
-@pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
-def test_caches_stay_consistent_through_moves(rng, p, kernel):
-    # the moves update phi, dist, psi and col_sq in place; each must equal a
-    # fresh recomputation bit for bit, and the residual to rounding
-    prior = PriorConfig(kernel=kernel, m=2 if p == 1 else 1)
-    if p == 1:
-        data = sine_data(60, seed=2)
-    else:
-        x = rng.uniform(0.0, 1.0, (60, 2))
-        data = Dataset(x, np.sin(2 * math.pi * x[:, 0]) + x[:, 1] ** 2)
-    state = _state(sample_prior(prior, 3, rng, p=p), data, prior)
-    mu0, h0 = state.params.mu.copy(), state.params.h
-    for _ in range(25):
+def _moves(state, rng, sweeps=25):
+    for _ in range(sweeps):
         gibbs_xi(state, rng)
         mh_mu(state, rng, 0.3)
         mh_h(state, rng, 0.1)
-    assert state.params.h != h0 and not np.array_equal(state.params.mu, mu0)
-    np.testing.assert_array_equal(state.psi, basis_matrix(state.params, data.x))
-    cached = {k: getattr(state, k).copy() for k in ("phi", "dist", "psi", "col_sq")}
-    resid = state.resid.copy()
+
+
+def _check_caches(state):
+    # the pair caches against the dense kernel, a fresh refresh() and the
+    # model's residual y - psi xi
+    params, data = state.params, state.data
+    dense = core.eval_kernel(params.spec, data.x[:, None, :] - params.mu[None])
+    on_pairs = np.zeros(dense.shape, dtype=bool)
+    on_pairs[state.rows, state.blk] = True
+    assert np.all(dense[~on_pairs] == 0.0)
+    np.testing.assert_array_equal(state.phi, dense[state.rows, state.blk])
+    cached = {k: getattr(state, k).copy() for k in ("dist", "phi", "S", "resid")}
     state.refresh()
-    for name, value in cached.items():
-        np.testing.assert_array_equal(value, getattr(state, name), err_msg=name)
-    np.testing.assert_allclose(resid, state.resid, rtol=0, atol=1e-10)
+    for name in ("dist", "phi"):
+        np.testing.assert_array_equal(cached[name], getattr(state, name), err_msg=name)
+    np.testing.assert_allclose(cached["S"], state.S, rtol=1e-12, atol=0)
+    psi = basis_matrix(params, data.x)
+    np.testing.assert_allclose(cached["resid"], data.y - psi @ params.xi.ravel(),
+                               rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(state.psi, psi)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
+def test_caches_stay_consistent_through_moves(rng, p, kernel):
+    # the moves update dist, phi, S and resid on the pairs in place
+    prior = PriorConfig(kernel=kernel, m=2 if p == 1 else 1)
+    K = 3
+    edges = np.arange(K + 1) / K                         # includes 0 and 1
+    x = np.vstack([rng.uniform(0.0, 1.0, (60, p)),
+                   np.array(list(itertools.product(edges, repeat=p)))])
+    data = Dataset(x, np.sin(2 * math.pi * x[:, 0]) + x[:, -1] ** 2)
+    state = _state(sample_prior(prior, K, rng, p=p), data, prior)
+    mu0, h0 = state.params.mu.copy(), state.params.h
+    _moves(state, rng)
+    assert state.params.h != h0 and not np.array_equal(state.params.mu, mu0)
+    _check_caches(state)
+    # the widest support the prior allows: Kh = h_hi and every center on
+    # the edge of its block's closure
+    lo, hi = state.params.grid.closure()
+    state.params.mu[:] = np.where(rng.uniform(size=lo.shape) < 0.5, lo, hi)
+    state.params.h = prior.h_hi / K
+    state.refresh()
+    _check_caches(state)
+    _moves(state, rng, sweeps=5)
+    _check_caches(state)
+
+
+@pytest.mark.parametrize("x", [np.linspace(0.3, 0.0, 40, endpoint=False),
+                               np.empty(0)], ids=["empty_blocks", "no_data"])
+def test_caches_with_empty_blocks(rng, x):
+    # at K=8 the blocks centred above 0.6 hold no pair; n=0 holds none at all
+    prior = PriorConfig()
+    data = Dataset(x[:, None], np.cos(3.0 * x))
+    state = _state(sample_prior(prior, 8, rng), data, prior)
+    counts = np.diff(state.offsets)
+    assert counts[-1] == 0 and counts.sum() == state.rows.shape[0]
+    _moves(state, rng)
+    _check_caches(state)
 
 
 # ---------------------------------------------------------------- gibbs_xi
@@ -244,6 +285,36 @@ def test_lsq_init_starts_near_data():
     ll_cold = run_chain(base, prior, 4, data).loglik[0]
     ll_warm = run_chain(warm, prior, 4, data).loglik[0]
     assert ll_warm > ll_cold
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(lambda q: setattr(q, "h", 2.5 / 4),
+                 "h = 0.625 gives Kh = 2.5 above h_hi = 2.0", id="kh_above"),
+    pytest.param(lambda q: setattr(q, "h", 1.1 / 4), "below h_lo = 1.2", id="kh_below"),
+    pytest.param(lambda q: q.mu.__setitem__((1, 0), 0.1),
+                 "mu = 0.1 lies outside the closure of block 1", id="center"),
+    pytest.param(lambda q: q.xi.__setitem__((2, 1), -60.0),
+                 "xi = -60.0 lies outside [-B, B] with B = 50.0", id="xi"),
+    pytest.param(lambda q: setattr(q, "sigma", 20.0),
+                 "sigma = 20.0 is above sigma_hi = 10.0", id="sigma"),
+])
+def test_run_chain_rejects_init_params_outside_the_prior(edit, match):
+    prior = PriorConfig()
+    params = sample_prior(prior, 4, np.random.default_rng(0))
+    edit(params)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        run_chain(McmcConfig(burnin=0, samples=1), prior, 4, sine_data(20, seed=1),
+                  init_params=params)
+
+
+def test_run_chain_starts_at_the_bandwidth_bound():
+    # Kh = h_hi lies inside the prior; the conjugate check (ACCEPT-06) starts there
+    prior = PriorConfig()
+    params = sample_prior(prior, 5, np.random.default_rng(0))
+    params.h = prior.h_hi / 5
+    cfg = McmcConfig(burnin=2, samples=2, sample_h=False)
+    draws = run_chain(cfg, prior, 5, sine_data(20, seed=1), init_params=params)
+    np.testing.assert_array_equal(draws.h, params.h)
 
 
 def test_config_validation():

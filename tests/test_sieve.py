@@ -108,7 +108,7 @@ def test_fixed_sigma0_propagates(rng):
 def test_accepted_moves_reuse_the_candidate_solve(monkeypatch):
     # K=2, m=1 has 4 coefficients, so refit is on: _rss_at solves xi once per
     # candidate geometry and an accepted move keeps that solve; the only
-    # other solves are _descend's, one at the start and one per outer pass
+    # other solve is _descend's at the start
     calls = {"solve": 0, "rss": 0}
 
     def counted(name, fn):
@@ -122,10 +122,41 @@ def test_accepted_moves_reuse_the_candidate_solve(monkeypatch):
     data = sine_data(40, seed=3)
     cfg = SieveConfig(K=2, m=1, multistart=1, max_outer=3)
     fit = fit_sieve_mle(data, cfg, np.random.default_rng(0))
-    assert calls["solve"] == calls["rss"] + 1 + fit.n_outer
+    assert calls["solve"] == calls["rss"] + 1
     np.testing.assert_array_equal(
         fit.params.xi.ravel(),
         solve_xi_box(data.y, basis_matrix(fit.params, data.x), cfg.B))
+
+
+def test_refit_passes_skip_the_redundant_solve(monkeypatch):
+    # with refit on, params.xi after a pass already is the solve at its final
+    # geometry: re-solving after every pass, as _descend does with refit off,
+    # must leave the fit bit-identical and only cost solves
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve_xi_box(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "solve_xi_box", counted)
+    data = sine_data(40, seed=3)
+    cfg = SieveConfig(K=2, m=1, multistart=2, max_outer=4)
+    fit = fit_sieve_mle(data, cfg, np.random.default_rng(0))
+    n_fit, calls[0] = calls[0], 0
+    kh_search = sieve._kh_search
+
+    def resolving(data, params, obj, cfg, refit):
+        obj = kh_search(data, params, obj, cfg, refit)
+        return min(obj, sieve._fit_xi(params, data, cfg.B))
+
+    monkeypatch.setattr(sieve, "_kh_search", resolving)
+    ref = fit_sieve_mle(data, cfg, np.random.default_rng(0))
+    assert n_fit < calls[0]
+    assert (fit.objective, fit.n_outer, fit.start_objectives) == (
+        ref.objective, ref.n_outer, ref.start_objectives)
+    assert fit.params.h == ref.params.h
+    np.testing.assert_array_equal(fit.params.mu, ref.params.mu)
+    np.testing.assert_array_equal(fit.params.xi, ref.params.xi)
 
 
 def test_config_validation():
