@@ -9,10 +9,15 @@ from scipy import special
 
 
 def reflect(x, lo, hi):
-    """Fold x into [lo, hi] by repeated reflection at the endpoints."""
+    """Fold a float x into [lo, hi] by repeated reflection at the endpoints.
+
+    Python's float ``%`` takes the sign of the divisor, as ``np.mod`` does,
+    so this matches the array formula bit for bit.
+    """
     width = hi - lo
-    y = np.mod(np.asarray(x, dtype=float) - lo, 2.0 * width)
-    y = np.where(y > width, 2.0 * width - y, y)
+    y = (x - lo) % (2.0 * width)
+    if y > width:
+        y = 2.0 * width - y
     return lo + y
 
 

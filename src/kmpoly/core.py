@@ -119,6 +119,19 @@ class KernelSpec:
         return np.where(inside, 1.0 - t**2, 0.0)  # epanechnikov
 
 
+def sup_dist(a, b):
+    """Sup-norm distances max_j |a[..., j] - b[..., j]| between points
+    stacked along broadcasting leading axes.
+
+    Equal to ``np.max(np.abs(a - b), axis=-1)``, but folded one coordinate
+    at a time, without the (..., p) difference array or a strided reduce.
+    """
+    r = np.abs(a[..., 0] - b[..., 0])
+    for j in range(1, a.shape[-1]):
+        np.maximum(r, np.abs(a[..., j] - b[..., j]), out=r)
+    return r
+
+
 def eval_kernel(spec: KernelSpec, v):
     """Evaluate the boxed kernel phi(||v||_inf / h) at one or many offsets v."""
     v = np.asarray(v, dtype=float)
@@ -127,8 +140,7 @@ def eval_kernel(spec: KernelSpec, v):
     if v.ndim <= 1:
         r = np.max(np.abs(np.atleast_1d(v)))
         return float(spec.profile(np.asarray(r / spec.h)))
-    r = np.max(np.abs(v), axis=-1)
-    return spec.profile(r / spec.h)
+    return spec.profile(sup_dist(v, np.zeros(v.shape[-1])) / spec.h)
 
 
 @dataclass(frozen=True)
@@ -362,8 +374,7 @@ def _eval_curves(grid: PartitionGrid, m: int, kernel: str, h, mu, xi, x):
     step = max(1, BATCH_ELEMENTS // max(1, n * nb))
     for a in range(0, T, step):
         t = slice(a, a + step)
-        diff = x[None, :, None, :] - mu[t, None, :, :]    # (t, n, K^p, p)
-        r = np.max(np.abs(diff), axis=-1) / h[t, None, None]
+        r = sup_dist(x[None, :, None, :], mu[t, None, :, :]) / h[t, None, None]
         w = normalize_weights(spec.profile(r))
         # the optimal order, fixed to skip a path search per batch: the
         # monomials with xi over s first, then the weights over blocks

@@ -7,12 +7,14 @@ reproducible in isolation.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import _pool
 from .baselines import GpConfig, rescaled_gp_fit
 from .dataset import Dataset
 from .fixed_design import conjugate_fit
@@ -134,6 +136,43 @@ def _window_mean(grid, values, lo, hi):
     return float(np.mean(values[mask]))
 
 
+def _replicate(spec: ScenarioSpec, prior: PriorConfig, estimators, grid, f0,
+               K, r):
+    """Replicate r of a coverage study: returns (K, outcome).
+
+    The outcome maps each estimator to its containment indicator and band
+    width on the grid, or is the error message if the replicate failed.
+    With K None and a chain-based estimator, K is first selected by DIC on
+    this replicate's data, and the selection is returned even if a later
+    step fails.
+    """
+    seed = spec.base_seed + r
+    try:
+        data = spec.simulate(seed)
+        bands = {}
+        if {"kmp_pointwise", "kmp_l2set"} & set(estimators):
+            cfg = McmcConfig(burnin=spec.burnin, samples=spec.samples,
+                             seed=seed, init=spec.init)
+            if K is None:
+                report, draws = select_K(data, prior, cfg)
+                K = report.selected_K
+            else:
+                draws = run_chain(cfg, prior, K, data)
+            if "kmp_pointwise" in estimators:
+                bands["kmp_pointwise"] = pointwise_band(draws, grid, spec.level)
+            if "kmp_l2set" in estimators:
+                bands["kmp_l2set"] = l2_credible_set(draws, grid, spec.level)
+        if "conjugate" in estimators:
+            post = conjugate_fit(data)
+            _, lo, hi = post.pointwise_band(grid, spec.level)
+            bands["conjugate"] = _Band(lo, hi)
+    except (ValueError, FloatingPointError, RuntimeError,
+            np.linalg.LinAlgError) as exc:
+        return K, f"{type(exc).__name__}: {exc}"
+    return K, {e: ((b.lower <= f0) & (f0 <= b.upper), b.upper - b.lower)
+               for e, b in bands.items()}
+
+
 def run_coverage(spec: ScenarioSpec, prior: PriorConfig | None = None,
                  estimators=("kmp_pointwise", "kmp_l2set")) -> CoverageReport:
     """Coverage and width of credible bands over independent replicates.
@@ -142,6 +181,12 @@ def run_coverage(spec: ScenarioSpec, prior: PriorConfig | None = None,
     lower <= f0 <= upper is recorded; rates are averaged over successful
     replicates pointwise, then over each reporting window.  Replicates
     that raise are recorded and skipped; at least 90% must succeed.
+
+    With ``spec.K`` None, K is selected by DIC on the first replicate that
+    gets that far and reused afterwards.  The remaining replicates run on
+    one worker process per available CPU (at most one per replicate; see
+    ``kmpoly._pool``), recorded in ``meta["workers"]``, and are summed in
+    replicate order, so the report is bit-identical to a serial loop.
     """
     prior = prior or PriorConfig()
     known = {"kmp_pointwise", "kmp_l2set", "conjugate"}
@@ -152,43 +197,28 @@ def run_coverage(spec: ScenarioSpec, prior: PriorConfig | None = None,
     f0 = spec.truth_values(grid)
     needs_chain = bool({"kmp_pointwise", "kmp_l2set"} & set(estimators))
 
+    replicate = functools.partial(_replicate, spec, prior, estimators, grid, f0)
+    selected_K = spec.K
+    outcomes = []
+    while needs_chain and selected_K is None and len(outcomes) < spec.replicates:
+        selected_K, outcome = replicate(None, len(outcomes))
+        outcomes.append(outcome)
+    rest = range(len(outcomes), spec.replicates)
+    outcomes += [out for _, out in
+                 _pool._map(functools.partial(replicate, selected_K), rest)]
+
     hits = {e: np.zeros(grid.shape[0]) for e in estimators}
     widths = {e: np.zeros(grid.shape[0]) for e in estimators}
     failures = {}
     n_success = 0
-    selected_K = spec.K
-    for r in range(spec.replicates):
-        seed = spec.base_seed + r
-        try:
-            data = spec.simulate(seed)
-            bands = {}
-            if needs_chain:
-                cfg = McmcConfig(burnin=spec.burnin, samples=spec.samples,
-                                 seed=seed, init=spec.init)
-                if selected_K is None:
-                    # select once on the first replicate, reuse afterwards
-                    report, draws = select_K(data, prior, cfg)
-                    selected_K = report.selected_K
-                else:
-                    draws = run_chain(cfg, prior, selected_K, data)
-                if "kmp_pointwise" in estimators:
-                    bands["kmp_pointwise"] = pointwise_band(
-                        draws, grid, spec.level)
-                if "kmp_l2set" in estimators:
-                    bands["kmp_l2set"] = l2_credible_set(
-                        draws, grid, spec.level)
-            if "conjugate" in estimators:
-                post = conjugate_fit(data)
-                _, lo, hi = post.pointwise_band(grid, spec.level)
-                bands["conjugate"] = _Band(lo, hi)
-            for e in estimators:
-                band = bands[e]
-                hits[e] += (band.lower <= f0) & (f0 <= band.upper)
-                widths[e] += band.upper - band.lower
-            n_success += 1
-        except (ValueError, FloatingPointError, RuntimeError,
-                np.linalg.LinAlgError) as exc:
-            failures[r] = f"{type(exc).__name__}: {exc}"
+    for r, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            failures[r] = outcome
+            continue
+        for e in estimators:
+            hits[e] += outcome[e][0]
+            widths[e] += outcome[e][1]
+        n_success += 1
     if n_success < math.ceil(0.9 * spec.replicates):
         raise RuntimeError(
             f"only {n_success}/{spec.replicates} replicates succeeded: "
@@ -204,6 +234,7 @@ def run_coverage(spec: ScenarioSpec, prior: PriorConfig | None = None,
         grid=grid, coverage=coverage, width=width, windows=windows,
         n_success=n_success, n_replicates=spec.replicates, failures=failures,
         meta={"scenario": asdict(spec), "selected_K": selected_K,
+              "workers": _pool.workers(len(rest)),
               **spec.truth_meta(),
               "aggregation": "pointwise rates averaged over replicates, "
                              "then averaged within each window"},
@@ -246,6 +277,8 @@ def run_benchmark(spec: ScenarioSpec, prior: PriorConfig | None = None,
         "runtime_s": time.perf_counter() - t0,
         "K": K,
     }
+    if spec.K is None:
+        results["kmp"]["workers"] = report.meta["workers"]
     for cov in gp_covariances:
         gcfg = GpConfig(covariance=cov, sigma=spec.noise_sd,
                         burnin=spec.burnin, samples=spec.samples,

@@ -23,7 +23,7 @@ import numpy as np
 from . import chainio
 from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
 from .core import (KmpParams, PartitionGrid, _check_points, _eval_curves,
-                   eval_f, monomial_tensor, normalize_weights)
+                   eval_f, monomial_tensor, normalize_weights, sup_dist)
 from .priors import PriorConfig, log_prior_density, sample_prior
 
 
@@ -90,7 +90,7 @@ class ChainState:
         # and rounding in the distances
         kh = max(prior.h_hi, grid.K * params.h)
         radius = (0.5 + kh) / grid.K + 1e-9
-        near = np.max(np.abs(self._x[None] - grid.block_centers[:, None]), axis=-1)
+        near = sup_dist(self._x[None], grid.block_centers[:, None])
         self.blk, self.rows = np.nonzero(near < radius)
         self.offsets = np.searchsorted(
             self.blk, np.arange(grid.n_blocks + 1)).tolist()
@@ -115,7 +115,7 @@ class ChainState:
     def refresh(self):
         """Recompute every cache from the current parameters."""
         params = self.params
-        self.dist = np.max(np.abs(self._xp - params.mu[self.blk]), axis=-1)
+        self.dist = sup_dist(self._xp, params.mu[self.blk])
         self.phi = params.spec.profile(self.dist / params.h)
         self.S = self._row_sums(self.phi)
         self.resid = self.data.y - self._fit(self.phi, self.S)
@@ -203,11 +203,12 @@ def mh_mu(state: ChainState, rng, step: float):
     with np.errstate(divide="raise", invalid="raise"):
         for k in range(grid.n_blocks):
             mt_k = 2.0 * K * (params.mu[k] - centers[k])
-            prop = reflect(mt_k + step * rng.normal(size=p), -1.0, 1.0)
+            walk = (mt_k + step * rng.normal(size=p)).tolist()
+            prop = np.array([reflect(v, -1.0, 1.0) for v in walk])
             new_mu_k = centers[k] + prop / (2.0 * K)
             a, b = off[k], off[k + 1]
             rows = state.rows[a:b]
-            dist = np.abs(state._xp[a:b] - new_mu_k).max(axis=-1)
+            dist = sup_dist(state._xp[a:b], new_mu_k)
             phi_new = spec.profile(dist / h)
             dphi = phi_new - state.phi[a:b]
             S_new = S[rows] + dphi

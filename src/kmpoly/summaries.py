@@ -9,12 +9,14 @@ for a known non-uniform design density.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
+from . import _pool
 from .core import BATCH_ELEMENTS
 from .io_utils import atomic_write, write_json
 from .priors import PriorConfig
@@ -168,37 +170,51 @@ class DicReport:
             write_json(json_path, {"selected_K": self.selected_K, **self.meta})
 
 
+def _fit_one_K(data, prior: PriorConfig, cfg: McmcConfig, K):
+    """The chain at K, seeded ``cfg.seed + K``, and its DIC row; or, if the
+    chain fails, the message of its error in place of both."""
+    try:
+        draws = run_chain(dataclasses.replace(cfg, seed=cfg.seed + K),
+                          prior, K, data)
+    except (ValueError, FloatingPointError) as exc:
+        return str(exc)
+    parts = dic_parts(draws, data)
+    return draws, {"K": K, "dic": parts["dic"],
+                   "mean_deviance": parts["mean_deviance"],
+                   "p_dic": parts["p_dic"], "variant": parts["variant"]}
+
+
 def select_K(data, prior: PriorConfig, cfg: McmcConfig, K_min=None, K_max=None):
     """One chain per K on a grid; returns (DicReport, draws at the best K).
 
     Deterministic given the base seed: the chain at K runs with seed
-    ``cfg.seed + K``.
+    ``cfg.seed + K``.  The chains run on one worker process per available
+    CPU (at most one per K; see ``kmpoly._pool``), and the report, whose
+    ``meta["workers"]`` records that count, is bit-identical to running
+    them one after another.
     """
     K_min = prior.K_min if K_min is None else K_min
     K_max = prior.K_max if K_max is None else K_max
     if K_min > K_max:
         raise ValueError("need K_min <= K_max")
+    ks = range(K_min, K_max + 1)
+    fits = _pool._map(functools.partial(_fit_one_K, data, prior, cfg), ks)
     rows = []
     by_k = {}
     failures = {}
-    for K in range(K_min, K_max + 1):
-        try:
-            draws = run_chain(dataclasses.replace(cfg, seed=cfg.seed + K),
-                              prior, K, data)
-        except (ValueError, FloatingPointError) as exc:
-            failures[K] = str(exc)
+    for K, fit in zip(ks, fits):
+        if isinstance(fit, str):
+            failures[K] = fit
             continue
-        parts = dic_parts(draws, data)
-        rows.append({"K": K, "dic": parts["dic"],
-                     "mean_deviance": parts["mean_deviance"],
-                     "p_dic": parts["p_dic"], "variant": parts["variant"]})
-        by_k[K] = draws
+        by_k[K], row = fit
+        rows.append(row)
     if not rows:
         raise RuntimeError(f"every chain failed: {failures}")
     best = min(rows, key=lambda r: r["dic"])["K"]
     report = DicReport(rows, best, meta={
         "dic_variant": "curve-space plugin, p_dic = 2*(plugin - mean loglik)",
         "base_seed": cfg.seed, "failures": failures,
+        "workers": _pool.workers(len(ks)),
     })
     return report, by_k[best]
 
@@ -212,9 +228,9 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
     bracket [min_t f_t - 8 max sigma, max_t f_t + 8 max sigma] and run until
     it is narrower than 1e-10 * max(1, max sigma) (or than the float
     spacing of the endpoints, if that is wider).  At a jump of the CDF,
-    where some sigma_t is zero, the endpoint is the point of the jump.  If
-    every sigma is below 1e-12 the endpoints are empirical quantiles of the
-    curves.  Returns (mean, lower, upper).
+    where some sigma_t is zero, the endpoint is the point of the jump to
+    that tolerance.  If every sigma is below 1e-12 the endpoints are
+    empirical quantiles of the curves.  Returns (mean, lower, upper).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")

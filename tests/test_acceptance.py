@@ -6,6 +6,7 @@ multi-minute) experiment tiers; set ``KMP_ACCEPT_FULL=1`` to run the
 full-size tiers as well.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -17,6 +18,7 @@ from kmpoly import (Dataset, KmpParams, McmcConfig, PartitionGrid,
                     PriorConfig, ScenarioSpec, basis_matrix, conjugate_fit,
                     eval_f, mixture_weights, run_benchmark, run_chain,
                     run_coverage, sample_prior, taylor_project)
+from kmpoly._pool import _map
 from kmpoly.fixed_design import choose_Kn, fixed_design_params
 from kmpoly.harness import PLM_BETA0
 from kmpoly.plm import run_plm_chain
@@ -242,7 +244,8 @@ def test_07_gibbs_steps_match_quadrature_oracles():
 # ---------------------------------------------------------------- 08: contraction
 
 
-def _l2_errors(n, seed, grid, f0g):
+def _l2_errors(case, grid, f0g):
+    n, seed = case
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n)
     y = np.sin(2 * math.pi * x) + 0.3 * rng.standard_normal(n)
@@ -262,8 +265,10 @@ def test_08_squared_error_contracts_with_n():
     grid = np.linspace(0.0, 1.0, 400)
     f0g = np.sin(2 * math.pi * grid)
     seeds = range(7000, 7020)
-    small = np.array([_l2_errors(250, s, grid, f0g) for s in seeds])
-    big = np.array([_l2_errors(4000, s, grid, f0g) for s in seeds])
+    # the 40 fits are independent, so they run on the library's process pool
+    fits = _map(functools.partial(_l2_errors, grid=grid, f0g=f0g),
+                [(n, s) for n in (250, 4000) for s in seeds])
+    small, big = np.array(fits[:20]), np.array(fits[20:])
     ratio = np.median(big, axis=0) / np.median(small, axis=0)
     ok = bool(np.all(ratio <= 0.5))
     _report("ACCEPT-08", ok,

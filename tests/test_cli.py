@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -97,8 +98,9 @@ def test_select_k_emits_table(runner, fixture_csv, tmp_path):
     rows = (out / "dic.csv").read_text().splitlines()
     assert rows[0] == "K,dic,mean_deviance,p_dic"
     assert len(rows) == 4
-    selected = json.loads((out / "dic.json").read_text())["selected_K"]
-    assert selected in (6, 7, 8)
+    meta = json.loads((out / "dic.json").read_text())
+    assert meta["selected_K"] in (6, 7, 8)
+    assert 1 <= meta["workers"] <= min(3, len(os.sched_getaffinity(0)))
 
 
 def test_predict_from_saved_chain(runner, fixture_csv, tmp_path):
@@ -137,6 +139,7 @@ def test_coverage_command(runner, tmp_path):
                   "--out", str(out)])
     payload = json.loads((out / "coverage.json").read_text())
     assert payload["n_success"] == 3
+    assert 1 <= payload["meta"]["workers"] <= min(3, len(os.sched_getaffinity(0)))
 
 
 def test_benchmark_command(runner, tmp_path):

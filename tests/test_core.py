@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kmpoly import (KernelSpec, KmpParams, MultiIndexSet, PartitionGrid,
                     basis_matrix, eval_basis, eval_f, eval_kernel,
                     mixture_weights, taylor_project)
-from kmpoly.core import _check_points, monomial_tensor
+from kmpoly.core import _check_points, monomial_tensor, sup_dist
 
 from conftest import make_params
 
@@ -43,6 +43,17 @@ def test_kernel_sup_norm_in_two_dims():
     spec = KernelSpec("bump", 1.0)
     assert eval_kernel(spec, [0.5, 0.2]) == pytest.approx(math.exp(-4.0 / 3.0))
     assert eval_kernel(spec, [0.3, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sup_dist_matches_reduce(rng, p):
+    # the strided reduce it replaces, kept as its reference
+    x = rng.uniform(size=(50, p))
+    mu = rng.uniform(size=(4, 6, p))
+    a, b = x[None, :, None, :], mu[:, None, :, :]
+    want = np.max(np.abs(a - b), axis=-1)
+    assert sup_dist(a, b).tobytes() == want.tobytes()
+    assert sup_dist(x, mu[0, 0]).tobytes() == want[0, :, 0].tobytes()
 
 
 def test_kernel_support_exact_near_boundary():

@@ -119,3 +119,14 @@ def test_run_benchmark_smoke():
     assert out["results"]["kmp"]["mse"] > 0
     assert out["results"]["gp_squared_exponential"]["runtime_s"] > 0
     assert out["iteration_budget"] == {"burnin": 40, "samples": 40}
+    assert "workers" not in out["results"]["kmp"]
+
+
+def test_run_benchmark_records_select_K_workers():
+    spec = ScenarioSpec(truth="volterra", n=60, noise_sd=0.3, base_seed=2,
+                        grid_size=40, truth_terms=2000, K=None,
+                        burnin=20, samples=20)
+    out = run_benchmark(spec, PriorConfig(K_min=3, K_max=4), gp_covariances=())
+    kmp = out["results"]["kmp"]
+    assert kmp["K"] in (3, 4)
+    assert 1 <= kmp["workers"] <= 2

@@ -27,6 +27,27 @@ def test_reflect_always_in_bounds(x, lo, width):
     assert lo - 1e-9 <= y <= hi + 1e-9
 
 
+def _reflect_array(x, lo, hi):
+    """The array formula reflect replaced, kept as its reference."""
+    width = hi - lo
+    y = np.mod(np.asarray(x, dtype=float) - lo, 2.0 * width)
+    y = np.where(y > width, 2.0 * width - y, y)
+    return lo + y
+
+
+@given(st.floats(-5, 0), st.floats(0.1, 5), st.data())
+@settings(max_examples=300)
+def test_reflect_matches_array_formula(lo, width, data):
+    hi = lo + width
+    x = data.draw(st.one_of(
+        st.sampled_from([lo, hi, -lo, -hi, 0.0, -0.0]),
+        st.floats(lo, hi),
+        st.floats(-1e6, 1e6),
+        st.integers(-1000, 1000).map(lambda k: lo + k * width),
+        st.integers(-1000, 1000).map(lambda k: hi + k * width)))
+    assert reflect(x, lo, hi).hex() == float(_reflect_array(x, lo, hi)).hex()
+
+
 def test_truncnorm_sample_matches_scipy():
     rng = np.random.default_rng(7)
     mean, sd, lo, hi = 0.4, 1.3, -1.0, 2.0
