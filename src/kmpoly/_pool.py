@@ -2,8 +2,11 @@
 
 Each item's result depends on the item alone, so running the items in
 worker processes gives results bit-identical to the serial loop; they come
-back in item order.  Workers are forked, so they see the parent's modules
-as they are at the call, including any function replaced at run time.
+back in item order.  Workers are forked from the calling process, so they
+see its modules as they are at the call, including any function replaced
+at run time.  A fork copies only the calling thread, and a lock another
+thread holds at that moment stays held in the child, so while the caller
+runs other Python threads the items are mapped in-process instead.
 """
 
 from __future__ import annotations
@@ -11,26 +14,30 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import threading
 
 
 def workers(n_items):
-    """Processes :func:`_map` runs ``n_items`` items on: one per CPU this
-    process may use, at most one per item, and 1 inside a worker process or
-    where the OS reports no CPU affinity (there fork is missing or unsafe)."""
+    """Processes :func:`_map` should run ``n_items`` items on: one per CPU
+    this process may use, at most one per item, and 1 inside a worker
+    process, while other Python threads run in this one, or where the OS
+    reports no CPU affinity (there fork is missing or unsafe)."""
     if (multiprocessing.parent_process() is not None
+            or threading.active_count() > 1
             or not hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n_items))
 
 
-def _map(fn, items):
-    """``[fn(i) for i in items]``, run on ``workers(len(items))`` processes.
+def _map(fn, items, n=None):
+    """``[fn(i) for i in items]``, run on ``n`` forked processes
+    (``workers(len(items))`` if not given).
 
     With one worker it maps in this process and starts none.  An exception
     raised by ``fn`` is raised here, as the first failing item's.
     """
     items = list(items)
-    n = workers(len(items))
+    n = workers(len(items)) if n is None else n
     if n == 1:
         return [fn(i) for i in items]
     ctx = multiprocessing.get_context("fork")

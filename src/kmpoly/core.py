@@ -119,16 +119,19 @@ class KernelSpec:
         return np.where(inside, 1.0 - t**2, 0.0)  # epanechnikov
 
 
-def sup_dist(a, b):
+def sup_dist(a, b=None):
     """Sup-norm distances max_j |a[..., j] - b[..., j]| between points
-    stacked along broadcasting leading axes.
+    stacked along broadcasting leading axes (norms of ``a`` if ``b`` is None).
 
     Equal to ``np.max(np.abs(a - b), axis=-1)``, but folded one coordinate
     at a time, without the (..., p) difference array or a strided reduce.
     """
-    r = np.abs(a[..., 0] - b[..., 0])
+    def coord(j):
+        return a[..., j] if b is None else a[..., j] - b[..., j]
+
+    r = np.abs(coord(0))
     for j in range(1, a.shape[-1]):
-        np.maximum(r, np.abs(a[..., j] - b[..., j]), out=r)
+        np.maximum(r, np.abs(coord(j)), out=r)
     return r
 
 
@@ -140,7 +143,7 @@ def eval_kernel(spec: KernelSpec, v):
     if v.ndim <= 1:
         r = np.max(np.abs(np.atleast_1d(v)))
         return float(spec.profile(np.asarray(r / spec.h)))
-    return spec.profile(sup_dist(v, np.zeros(v.shape[-1])) / spec.h)
+    return spec.profile(sup_dist(v) / spec.h)
 
 
 @dataclass(frozen=True)

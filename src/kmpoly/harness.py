@@ -204,8 +204,10 @@ def run_coverage(spec: ScenarioSpec, prior: PriorConfig | None = None,
         selected_K, outcome = replicate(None, len(outcomes))
         outcomes.append(outcome)
     rest = range(len(outcomes), spec.replicates)
+    n_workers = _pool.workers(len(rest))
     outcomes += [out for _, out in
-                 _pool._map(functools.partial(replicate, selected_K), rest)]
+                 _pool._map(functools.partial(replicate, selected_K), rest,
+                            n_workers)]
 
     hits = {e: np.zeros(grid.shape[0]) for e in estimators}
     widths = {e: np.zeros(grid.shape[0]) for e in estimators}
@@ -234,7 +236,7 @@ def run_coverage(spec: ScenarioSpec, prior: PriorConfig | None = None,
         grid=grid, coverage=coverage, width=width, windows=windows,
         n_success=n_success, n_replicates=spec.replicates, failures=failures,
         meta={"scenario": asdict(spec), "selected_K": selected_K,
-              "workers": _pool.workers(len(rest)),
+              "workers": n_workers,
               **spec.truth_meta(),
               "aggregation": "pointwise rates averaged over replicates, "
                              "then averaged within each window"},

@@ -236,7 +236,7 @@ def mh_h(state: ChainState, rng, step: float):
     params = state.params
     K = params.grid.K
     kh = K * params.h + step * rng.normal()
-    kh = float(reflect(kh, cfg.h_lo, cfg.h_hi))
+    kh = reflect(kh, cfg.h_lo, cfg.h_hi)
     h_new = kh / K
     phi = params.spec.profile(state.dist / h_new)
     S = state._row_sums(phi)

@@ -198,7 +198,9 @@ def select_K(data, prior: PriorConfig, cfg: McmcConfig, K_min=None, K_max=None):
     if K_min > K_max:
         raise ValueError("need K_min <= K_max")
     ks = range(K_min, K_max + 1)
-    fits = _pool._map(functools.partial(_fit_one_K, data, prior, cfg), ks)
+    n_workers = _pool.workers(len(ks))
+    fits = _pool._map(functools.partial(_fit_one_K, data, prior, cfg), ks,
+                      n_workers)
     rows = []
     by_k = {}
     failures = {}
@@ -214,7 +216,7 @@ def select_K(data, prior: PriorConfig, cfg: McmcConfig, K_min=None, K_max=None):
     report = DicReport(rows, best, meta={
         "dic_variant": "curve-space plugin, p_dic = 2*(plugin - mean loglik)",
         "base_seed": cfg.seed, "failures": failures,
-        "workers": _pool.workers(len(ks)),
+        "workers": n_workers,
     })
     return report, by_k[best]
 
@@ -227,10 +229,12 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
     are found together by bisection on the mixture CDF, started from the
     bracket [min_t f_t - 8 max sigma, max_t f_t + 8 max sigma] and run until
     it is narrower than 1e-10 * max(1, max sigma) (or than the float
-    spacing of the endpoints, if that is wider).  At a jump of the CDF,
-    where some sigma_t is zero, the endpoint is the point of the jump to
-    that tolerance.  If every sigma is below 1e-12 the endpoints are
-    empirical quantiles of the curves.  Returns (mean, lower, upper).
+    spacing of the endpoints, if that is wider).  The lower endpoint is the
+    final bracket's left end and the upper its right end, so the interval
+    holds the exact quantile interval, jumps of the CDF (where some sigma_t
+    is zero) included, and is wider by less than the tolerance at each end.
+    If every sigma is below 1e-12 the endpoints are empirical quantiles of
+    the curves.  Returns (mean, lower, upper).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -262,5 +266,6 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
             below = special.ndtr((mid - fc) / scale).mean(axis=0) < target
             left = np.where(below, mid, left)
             right = np.where(below, right, mid)
-        ends[:, a:a + step] = 0.5 * (left + right)
+        ends[0, a:a + step] = left[0]
+        ends[1, a:a + step] = right[1]
     return mean, ends[0], ends[1]

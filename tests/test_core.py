@@ -54,6 +54,8 @@ def test_sup_dist_matches_reduce(rng, p):
     want = np.max(np.abs(a - b), axis=-1)
     assert sup_dist(a, b).tobytes() == want.tobytes()
     assert sup_dist(x, mu[0, 0]).tobytes() == want[0, :, 0].tobytes()
+    v = x - 0.5
+    assert sup_dist(v).tobytes() == np.max(np.abs(v), axis=-1).tobytes()
 
 
 def test_kernel_support_exact_near_boundary():

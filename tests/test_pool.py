@@ -3,6 +3,7 @@ serial loop bit for bit, one CPU starts no process, and pools never nest."""
 
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -88,15 +89,33 @@ def test_run_coverage_matches_one_cpu(monkeypatch, K):
         assert pool.width[e].tobytes() == serial.width[e].tobytes()
 
 
-def test_one_cpu_starts_no_process(monkeypatch):
-    _cpus(monkeypatch, 1)
-
+def _no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(_pool.concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def test_one_cpu_starts_no_process(monkeypatch):
+    _cpus(monkeypatch, 1)
+    _no_pool(monkeypatch)
     assert _pool.workers(5) == 1
     assert _pool._map(_pid, range(5)) == [os.getpid()] * 5
+
+
+def test_other_threads_keep_the_map_in_process(monkeypatch):
+    _cpus(monkeypatch, 2)
+    _no_pool(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _pool.workers(5) == 1
+        assert _pool._map(_pid, range(5)) == [os.getpid()] * 5
+    finally:
+        release.set()
+        thread.join()
+    assert _pool.workers(5) == 2
 
 
 def test_pool_never_larger_than_items_or_cpus(monkeypatch):

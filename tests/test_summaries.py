@@ -185,8 +185,8 @@ def _mixture_cdf(y, means, sigmas):
                           st.one_of(st.just(0.0), st.floats(1e-3, 3.0))),
                 min_size=1, max_size=20),
        st.floats(0.5, 0.99))
-# the mean lies between two jumps less than tol apart, and the upper end
-# stops 2.9e-11 below it
+# the mean lies between two jumps less than tol apart; the midpoint of the
+# final bisection bracket stops 2.9e-11 below it, the bracket's right end not
 @example([(-3.5105205960698944e-237, 0.0), (-1.1262945745046494e-251, 0.0),
           (0.0, 1.0)], 0.5)
 @settings(max_examples=150, deadline=None)
@@ -204,11 +204,14 @@ def test_predict_inverts_the_mixture_cdf(components, level):
         # tol where it is continuous, and q is the jump where it is not
         assert _mixture_cdf(q - tol, means, sigmas) <= target + slack
         assert _mixture_cdf(q + tol, means, sigmas) >= target - slack
-    # the interval contains the predictive mean, up to the endpoints' tol,
-    # when the mixture puts at least alpha of its mass on either side of it
+    # each end lies on the outer side of its quantile
+    assert _mixture_cdf(lo[0], means, sigmas) <= alpha + slack
+    assert _mixture_cdf(hi[0], means, sigmas) >= 1.0 - alpha - slack
+    # the interval contains the predictive mean exactly when the mixture
+    # puts at least alpha of its mass on either side of it
     f_mean = _mixture_cdf(mean[0], means, sigmas)
     if alpha + 1e-9 < f_mean < 1.0 - alpha - 1e-9:
-        assert lo[0] - tol <= mean[0] <= hi[0] + tol
+        assert lo[0] <= mean[0] <= hi[0]
 
 
 def test_predict_point_batches_agree(rng, monkeypatch):
