@@ -112,25 +112,27 @@ class ChainState:
                                for k in range(xi.shape[0])])
         return self._row_sums(w * poly)
 
+    def at_bandwidth(self, h):
+        """Kernel values on the pairs, their row sums and the residuals
+        (phi, S, resid) at bandwidth h, the rest kept; nothing cached changes."""
+        phi = self.params.spec.profile(self.dist / h)
+        S = self._row_sums(phi)
+        return phi, S, self.data.y - self._fit(phi, S)
+
     def refresh(self):
         """Recompute every cache from the current parameters."""
-        params = self.params
-        self.dist = sup_dist(self._xp, params.mu[self.blk])
-        self.phi = params.spec.profile(self.dist / params.h)
-        self.S = self._row_sums(self.phi)
-        self.resid = self.data.y - self._fit(self.phi, self.S)
+        self.dist = sup_dist(self._xp, self.params.mu[self.blk])
+        self.phi, self.S, self.resid = self.at_bandwidth(self.params.h)
 
-    @property
-    def psi(self):
-        """Dense basis matrix (n, K^p * n_s) built from the cached kernel
-        values, bit-identical to :func:`basis_matrix`; not kept."""
-        grid = self.params.grid
-        phi = np.zeros((self.data.n, grid.n_blocks))
-        phi[self.rows, self.blk] = self.phi
-        w = normalize_weights(phi)
-        mono = monomial_tensor(grid, self.params.m, self._x)
+    def basis(self, phi=None):
+        """Dense basis matrix (n, K^p * n_s) from kernel values on the pairs
+        (the cached ones by default), bit-identical to :func:`basis_matrix`
+        at the geometry they come from; not kept."""
+        mono = monomial_tensor(self.params.grid, self.params.m, self._x)
         n, nb, n_s = mono.shape
-        return (w[:, :, None] * mono).reshape(n, nb * n_s)
+        w = np.zeros((n, nb))
+        w[self.rows, self.blk] = self.phi if phi is None else phi
+        return (normalize_weights(w)[:, :, None] * mono).reshape(n, nb * n_s)
 
     def loglik(self) -> float:
         return _loglik_resid(self.resid, self.params.sigma)
@@ -235,12 +237,8 @@ def mh_h(state: ChainState, rng, step: float):
     cfg = state.prior
     params = state.params
     K = params.grid.K
-    kh = K * params.h + step * rng.normal()
-    kh = reflect(kh, cfg.h_lo, cfg.h_hi)
-    h_new = kh / K
-    phi = params.spec.profile(state.dist / h_new)
-    S = state._row_sums(phi)
-    resid = state.data.y - state._fit(phi, S)
+    h_new = reflect(K * params.h + step * rng.normal(), cfg.h_lo, cfg.h_hi) / K
+    phi, S, resid = state.at_bandwidth(h_new)
     delta = _loglik_resid(resid, params.sigma) - state.loglik()
     if math.log(rng.uniform()) < delta:
         params.h = h_new
@@ -326,7 +324,7 @@ def _initial_state(cfg: McmcConfig, prior: PriorConfig, K: int, data, rng):
         from .sieve import solve_xi_box
 
         # warm start only: a loose box-constrained solve is plenty
-        psi = state.psi
+        psi = state.basis()
         xi = solve_xi_box(data.y, psi, prior.B, tol=1e-6, max_sweeps=50)
         state.params.xi[:] = xi.reshape(state.params.xi.shape)
         state.resid = data.y - psi @ xi

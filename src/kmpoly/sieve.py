@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .core import KmpParams, MultiIndexSet, PartitionGrid, basis_matrix
+from .core import KmpParams, MultiIndexSet, PartitionGrid, sup_dist
 from .fixed_design import choose_Kn
+from .priors import PriorConfig
+from .sampler import ChainState
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -68,17 +70,10 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
 
 def _kkt_residual(psi, r, xi, B, d):
     g = -(psi.T @ r)  # half-gradient of the squared loss
-    res = 0.0
-    for j in range(xi.shape[0]):
-        if d[j] == 0.0:
-            continue
-        if xi[j] >= B - 1e-14:
-            res = max(res, max(0.0, -g[j]) if g[j] < 0 else 0.0)
-        elif xi[j] <= -B + 1e-14:
-            res = max(res, max(0.0, g[j]))
-        else:
-            res = max(res, abs(g[j]))
-    return res
+    # per coordinate: at the upper bound, at the lower bound, interior
+    res = np.where(xi >= B - 1e-14, np.maximum(-g, 0.0),
+                   np.where(xi <= -B + 1e-14, np.maximum(g, 0.0), np.abs(g)))
+    return float(np.max(res[d != 0.0], initial=0.0))
 
 
 @dataclass
@@ -103,6 +98,8 @@ class SieveConfig:
             raise ValueError("need 1 < h_lo < h_hi")
         if self.mu_grid < 2:
             raise ValueError("need mu_grid >= 2")
+        if not self.B >= 0:
+            raise ValueError(f"need B >= 0, got B = {self.B}")
 
 
 @dataclass
@@ -114,23 +111,26 @@ class SieveFit:
     start_objectives: list = field(default_factory=list)
 
 
-def _fit_xi(params, data, B):
-    """Set params.xi to the box-constrained least-squares fit; return its RSS."""
-    psi = basis_matrix(params, data.x)
-    xi = solve_xi_box(data.y, psi, B)
-    params.xi[:] = xi.reshape(params.xi.shape)
-    r = data.y - psi @ xi
-    return float(r @ r)
-
-
-def _rss_at(params, mu, h, data, cfg, refit):
-    """(RSS, xi) with the geometry moved to (mu, h), refitting xi if ``refit``."""
-    trial = KmpParams(params.grid, h, np.array(mu), params.xi.copy(),
-                      params.sigma, params.m, params.kernel)
+def _score(state, phi, B, refit=True, resid=None):
+    """(RSS, xi) at kernel values phi on the state's pairs (its own if None):
+    xi solved in the box if ``refit``, else the state's, with ``resid`` its
+    residual if already formed."""
+    y = state.data.y
     if refit:
-        return _fit_xi(trial, data, cfg.B), trial.xi
-    r = data.y - basis_matrix(trial, data.x) @ trial.xi.ravel()
-    return float(r @ r), trial.xi
+        psi = state.basis(phi)
+        xi = solve_xi_box(y, psi, B)
+        r = y - psi @ xi
+        return float(r @ r), xi.reshape(state.params.xi.shape)
+    if resid is None:
+        resid = y - state._fit(phi, state._row_sums(phi))
+    return float(resid @ resid), state.params.xi
+
+
+def _fit_xi(state, B):
+    """Set xi to the box-constrained fit at the state's geometry; its RSS."""
+    obj, state.params.xi[:] = _score(state, None, B)
+    state.refresh()
+    return obj
 
 
 def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
@@ -164,82 +164,84 @@ def fit_sieve_mle(data, cfg: SieveConfig, rng) -> SieveFit:
         if best is None or fit.objective < best.objective:
             best = fit
     best.start_objectives = start_objs
-    if cfg.sigma0 is not None:
-        best.params.sigma = cfg.sigma0
-    else:
-        best.params.sigma = math.sqrt(max(best.objective / data.n, 1e-30))
+    best.params.sigma = (cfg.sigma0 if cfg.sigma0 is not None
+                         else math.sqrt(max(best.objective / data.n, 1e-30)))
     return best
 
 
 def _descend(data, params, cfg, refit):
-    obj = _fit_xi(params, data, cfg.B)
-    converged = False
-    it = 0
+    # ChainState reads only h_hi from its prior, to size the pair list
+    state = ChainState(params, data, PriorConfig(h_lo=cfg.h_lo, h_hi=cfg.h_hi))
+    obj = _fit_xi(state, cfg.B)
     for it in range(1, cfg.max_outer + 1):
         prev = obj
-        obj = _mu_sweep(data, params, obj, cfg, refit)
-        obj = _kh_search(data, params, obj, cfg, refit)
+        obj = _mu_sweep(state, obj, cfg, refit)
+        obj = _kh_search(state, obj, cfg, refit)
         if not refit:
             # with refit on, params.xi already is the solve at this geometry
-            new_obj = _fit_xi(params, data, cfg.B)
+            new_obj = _fit_xi(state, cfg.B)
             assert new_obj <= obj + 1e-9 * (1 + obj), "objective increased"
             obj = min(obj, new_obj)
         if prev - obj <= cfg.tol * (1.0 + prev):
-            converged = True
-            break
-    return SieveFit(params, obj, converged, it)
+            return SieveFit(params, obj, True, it)
+    return SieveFit(params, obj, False, cfg.max_outer)
 
 
-def _mu_sweep(data, params, obj, cfg, refit):
-    grid = params.grid
-    K = grid.K
+def _mu_sweep(state, obj, cfg, refit):
+    params = state.params
     coarse = np.linspace(-1.0, 1.0, cfg.mu_grid)
-    spacing = coarse[1] - coarse[0]
-    for k in range(grid.n_blocks):
-        for j in range(grid.p):
+    refine = (coarse[1] - coarse[0]) * np.array([-0.5, -0.25, 0.25, 0.5])
+    for k in range(params.grid.n_blocks):
+        for j in range(params.grid.p):
             cur = float(params.mu_tilde[k, j])
-
-            def mu_with(v):
-                mt = params.mu_tilde
-                mt[k, j] = v
-                return grid.block_centers + mt / (2.0 * K)
-
-            best_v, best_obj, best_xi = cur, obj, None
+            best_v, best_obj, best = cur, obj, None
             for v in [*coarse, None]:
-                if v is None:  # refine around the coarse winner
-                    vals = np.clip(
-                        best_v + spacing * np.array([-0.5, -0.25, 0.25, 0.5]),
-                        -1.0, 1.0)
-                else:
-                    vals = [v]
+                # after the coarse grid (v None), refine around its winner
+                vals = [v] if v is not None else np.clip(best_v + refine, -1.0, 1.0)
                 for vv in vals:
                     if vv == cur:
                         continue
-                    trial_obj, trial_xi = _rss_at(params, mu_with(vv), params.h,
-                                                  data, cfg, refit)
+                    mu, phi = _with_center(state, k, j, vv)
+                    trial_obj, trial_xi = _score(state, phi, cfg.B, refit)
                     if trial_obj < best_obj:
-                        best_v, best_obj, best_xi = float(vv), trial_obj, trial_xi
-            if best_v != cur:
-                params.mu[:] = mu_with(best_v)
-                params.xi[:] = best_xi
+                        best_v, best_obj, best = float(vv), trial_obj, (mu, trial_xi)
+            if best is not None:
+                params.mu[:], params.xi[:] = best
+                state.refresh()
                 obj = best_obj
     return obj
 
 
-def _kh_search(data, params, obj, cfg, refit):
+def _with_center(state, k, j, v):
+    """Centers with mu_tilde[k, j] = v, and the kernel values on the pairs
+    there.  Only blocks whose center moved are re-evaluated: block k, and any
+    other that the round trip through mu_tilde shifted by rounding."""
+    params, off = state.params, state.offsets
+    mt = params.mu_tilde
+    mt[k, j] = v
+    mu = params.grid.block_centers + mt / (2.0 * params.grid.K)
+    phi = state.phi.copy()
+    for i in np.flatnonzero(np.any(mu != params.mu, axis=1)):
+        a, b = off[i], off[i + 1]
+        phi[a:b] = params.spec.profile(sup_dist(state._xp[a:b], mu[i]) / params.h)
+    return mu, phi
+
+
+def _kh_search(state, obj, cfg, refit):
+    params = state.params
     K = params.grid.K
 
-    def f(kh):
-        return _rss_at(params, params.mu, kh / K, data, cfg, refit)  # (RSS, xi)
+    def f(kh):  # (RSS, xi)
+        phi, _, resid = state.at_bandwidth(kh / K)
+        return _score(state, phi, cfg.B, refit, resid)
 
     grid_vals = np.linspace(cfg.h_lo, cfg.h_hi, cfg.mu_grid)
     fits = [f(v) for v in grid_vals]
     i = int(np.argmin([rss for rss, _ in fits]))
     best_kh, (best_obj, best_xi) = float(grid_vals[i]), fits[i]
-    lo = grid_vals[max(i - 1, 0)]
-    hi = grid_vals[min(i + 1, len(grid_vals) - 1)]
     # golden-section refinement inside the bracketing interval
-    a, b = float(lo), float(hi)
+    lo, hi = max(i - 1, 0), min(i + 1, len(grid_vals) - 1)
+    a, b = float(grid_vals[lo]), float(grid_vals[hi])
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -258,6 +260,6 @@ def _kh_search(data, params, obj, cfg, refit):
     if best_obj < obj:
         params.h = best_kh / K
         params.xi[:] = best_xi
+        state.refresh()
         return best_obj
     return obj
-

@@ -201,7 +201,7 @@ def test_07_gibbs_steps_match_quadrature_oracles():
     state = ChainState(params, data, prior)
 
     # coefficient step: density prop. to likelihood x prior on [-B, B]
-    psi = state.psi.ravel()
+    psi = state.basis().ravel()
     tg = np.linspace(-prior.B, prior.B, 4001)
     resid = y[None, :] - np.outer(tg, psi)
     logd = (-0.5 * np.sum(resid**2, axis=1) / params.sigma**2

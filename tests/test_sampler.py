@@ -91,7 +91,7 @@ def test_state_psi_matches_basis_matrix(rng):
     data = sine_data(80, seed=1)
     params = sample_prior(prior, 4, rng)
     state = _state(params, data, prior)
-    np.testing.assert_array_equal(state.psi, basis_matrix(params, data.x))
+    np.testing.assert_array_equal(state.basis(), basis_matrix(params, data.x))
 
 
 def _moves(state, rng, sweeps=25):
@@ -118,7 +118,7 @@ def _check_caches(state):
     psi = basis_matrix(params, data.x)
     np.testing.assert_allclose(cached["resid"], data.y - psi @ params.xi.ravel(),
                                rtol=0, atol=1e-10)
-    np.testing.assert_array_equal(state.psi, psi)
+    np.testing.assert_array_equal(state.basis(), psi)
 
 
 @pytest.mark.parametrize("p", [1, 2])

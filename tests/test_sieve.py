@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from kmpoly import (Dataset, SieveConfig, basis_matrix, choose_Kn, eval_f,
-                    fit_sieve_mle)
+from kmpoly import (Dataset, MultiIndexSet, SieveConfig, basis_matrix, choose_Kn,
+                    eval_f, fit_sieve_mle)
 from kmpoly import sieve
 from kmpoly.sieve import solve_xi_box
 
@@ -45,6 +45,38 @@ def test_box_solver_handles_zero_columns(rng):
     psi[:, 2] = 0.0
     xi = solve_xi_box(rng.normal(size=20), psi, B=5.0)
     assert xi[2] == 0.0
+
+
+def _kkt_residual_loop(psi, r, xi, B, d):
+    # per-coordinate reference for the vectorized sieve._kkt_residual
+    g = -(psi.T @ r)
+    res = 0.0
+    for j in range(xi.shape[0]):
+        if d[j] == 0.0:
+            continue
+        if xi[j] >= B - 1e-14:
+            res = max(res, max(0.0, -g[j]) if g[j] < 0 else 0.0)
+        elif xi[j] <= -B + 1e-14:
+            res = max(res, max(0.0, g[j]))
+        else:
+            res = max(res, abs(g[j]))
+    return res
+
+
+@pytest.mark.parametrize("B", [1e-15, 0.5, 50.0])
+def test_kkt_residual_matches_the_coordinate_loop(B):
+    # coordinates at either bound (or within 1e-14 of it), interior ones and
+    # zero columns, which the residual skips
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n, ncoef = int(rng.integers(1, 20)), int(rng.integers(1, 10))
+        psi = rng.normal(size=(n, ncoef))
+        psi[:, rng.random(ncoef) < 0.2] = 0.0
+        u = rng.random(ncoef)
+        xi = np.select([u < 0.3, u > 0.7, u < 0.35], [B, -B, B - 5e-15],
+                       rng.uniform(-B, B, ncoef))
+        args = (psi, rng.normal(size=n), xi, B, np.einsum("ij,ij->j", psi, psi))
+        assert sieve._kkt_residual(*args) == _kkt_residual_loop(*args)
 
 
 # ---------------------------------------------------------------- K rule
@@ -106,10 +138,11 @@ def test_fixed_sigma0_propagates(rng):
 
 
 def test_accepted_moves_reuse_the_candidate_solve(monkeypatch):
-    # K=2, m=1 has 4 coefficients, so refit is on: _rss_at solves xi once per
+    # K=2, m=1 has 4 coefficients, so refit is on: _score solves xi once per
     # candidate geometry and an accepted move keeps that solve; the only
-    # other solve is _descend's at the start
-    calls = {"solve": 0, "rss": 0}
+    # other solve is _descend's _fit_xi at the start, which scores the
+    # state's own geometry: solves = candidates + 1
+    calls = {"solve": 0, "score": 0, "fit": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -118,11 +151,13 @@ def test_accepted_moves_reuse_the_candidate_solve(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sieve, "solve_xi_box", counted("solve", solve_xi_box))
-    monkeypatch.setattr(sieve, "_rss_at", counted("rss", sieve._rss_at))
+    monkeypatch.setattr(sieve, "_score", counted("score", sieve._score))
+    monkeypatch.setattr(sieve, "_fit_xi", counted("fit", sieve._fit_xi))
     data = sine_data(40, seed=3)
     cfg = SieveConfig(K=2, m=1, multistart=1, max_outer=3)
     fit = fit_sieve_mle(data, cfg, np.random.default_rng(0))
-    assert calls["solve"] == calls["rss"] + 1
+    candidates = calls["score"] - calls["fit"]
+    assert calls["fit"] == 1 and calls["solve"] == candidates + 1
     np.testing.assert_array_equal(
         fit.params.xi.ravel(),
         solve_xi_box(data.y, basis_matrix(fit.params, data.x), cfg.B))
@@ -145,9 +180,9 @@ def test_refit_passes_skip_the_redundant_solve(monkeypatch):
     n_fit, calls[0] = calls[0], 0
     kh_search = sieve._kh_search
 
-    def resolving(data, params, obj, cfg, refit):
-        obj = kh_search(data, params, obj, cfg, refit)
-        return min(obj, sieve._fit_xi(params, data, cfg.B))
+    def resolving(state, obj, cfg, refit):
+        obj = kh_search(state, obj, cfg, refit)
+        return min(obj, sieve._fit_xi(state, cfg.B))
 
     monkeypatch.setattr(sieve, "_kh_search", resolving)
     ref = fit_sieve_mle(data, cfg, np.random.default_rng(0))
@@ -157,6 +192,30 @@ def test_refit_passes_skip_the_redundant_solve(monkeypatch):
     assert fit.params.h == ref.params.h
     np.testing.assert_array_equal(fit.params.mu, ref.params.mu)
     np.testing.assert_array_equal(fit.params.xi, ref.params.xi)
+
+
+@pytest.mark.parametrize("p, K, m, refit", [
+    (1, 2, 1, True),       # K^p * n_s = 4
+    (1, 5, 2, False),      # 15
+    (2, 2, 1, True),       # 12
+    (2, 2, 2, False),      # 24
+])
+@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
+def test_objective_is_the_rss_of_the_returned_fit(p, K, m, refit, kernel):
+    # candidates are scored on the pair caches (or a basis built from them),
+    # so the objective must still be the dense basis residual of the final
+    # parameters; a cache left stale after an accepted move breaks this
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, (50, p))
+    y = np.sin(2 * np.pi * x.sum(axis=1)) + 0.2 * rng.standard_normal(50)
+    data = Dataset(x, y)
+    cfg = SieveConfig(K=K, m=m, kernel=kernel, multistart=2, max_outer=3,
+                      mu_grid=5)
+    n_s = len(MultiIndexSet(p, m))
+    assert (K**p * n_s <= 12) == refit
+    fit = fit_sieve_mle(data, cfg, rng)
+    r = y - basis_matrix(fit.params, x) @ fit.params.xi.ravel()
+    assert fit.objective == pytest.approx(float(r @ r), rel=1e-12, abs=0)
 
 
 def test_config_validation():
@@ -170,3 +229,7 @@ def test_config_validation():
         SieveConfig(h_lo=0.5)
     with pytest.raises(ValueError, match=r"need mu_grid >= 2"):
         SieveConfig(mu_grid=1)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"need B >= 0, got B = "):
+            SieveConfig(B=bad)
+    assert SieveConfig(B=0.0).B == 0.0
