@@ -40,6 +40,6 @@ print(f"\nposterior mean RMSE      : {np.sqrt(np.mean((band.mean - f0g)**2)):.4f
 print(f"pointwise band coverage  : {inside:.3f} of grid points contain f0")
 print(f"mean band width          : {np.mean(band.upper - band.lower):.3f}")
 print(f"L2 credible set radius   : {l2set.radius:.4f}")
-print(f"posterior sigma mean     : {draws.sigmas().mean():.4f} (truth 0.3)")
+print(f"posterior sigma mean     : {draws.sigma.mean():.4f} (truth 0.3)")
 print(f"acceptance rates         : mu={draws.accept['mu']:.2f} "
       f"h={draws.accept['h']:.2f}")

@@ -153,7 +153,7 @@ def fit(data, x, y, config, K, burnin, samples, level, grid_size, seed, out):
     write_json(os.path.join(out, "summary.json"), {
         "K": K, "accept": draws.accept, "dic": dic_parts(draws, ds),
         "l2set_radius": l2.radius,
-        "posterior_mean_sigma": float(np.mean(draws.sigmas())),
+        "posterior_mean_sigma": float(np.mean(draws.sigma)),
     })
     _finish(out, "fit", json.loads(prior.to_json()), seed, started,
             ["chain.csv", "chain.json", "band_pointwise.csv",

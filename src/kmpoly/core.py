@@ -88,6 +88,19 @@ class PartitionGrid:
         return bool(np.all(mu >= lo) and np.all(mu <= hi))
 
 
+# outside the support the exponent is -1e300, whose exp is 0; that
+# underflow, and t * t overflowing for huge t, are expected (the decorator
+# form of errstate costs a fraction of the with-statement's)
+@np.errstate(under="ignore", over="ignore")
+def _bump(t):
+    """Bump profile exp(-1 / max(1 - t^2, 1e-300)), formed in place."""
+    u = np.multiply(t, t, out=np.empty(t.shape))
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 1e-300, out=u)
+    np.divide(-1.0, u, out=u)
+    return np.exp(u, out=u)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A boxed kernel profile with bandwidth h, evaluated at sup-norm radius.
@@ -106,14 +119,11 @@ class KernelSpec:
             raise ValueError("bandwidth must be a positive finite real")
 
     def profile(self, t):
-        """Univariate profile at radii t >= 0, zero for t >= 1."""
+        """Univariate profile at radii t >= 0 (inf included), zero for t >= 1."""
         t = np.asarray(t, dtype=float)
-        inside = t < 1.0
         if self.family == "bump":
-            # exponentiate only inside the support
-            out = np.zeros(t.shape)
-            out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-            return out
+            return _bump(t)
+        inside = t < 1.0
         if self.family == "triangle":
             return np.where(inside, 1.0 - t, 0.0)
         return np.where(inside, 1.0 - t**2, 0.0)  # epanechnikov
@@ -279,6 +289,19 @@ def draw_violations(grid: PartitionGrid, h, mu, xi, sigma, B=np.inf, h_lo=1.0,
     ]
 
 
+def support_pairs(grid: PartitionGrid, x, reach):
+    """The (point, block) pairs where a kernel of block k can be nonzero.
+
+    A kernel that reaches at most ``reach`` (a scalar, or one per block)
+    from its block's fixed center is zero at x_i unless
+    ||x_i - mu*_k||_inf < reach; 1e-9 more covers centers on the
+    1e-12-wide block closure and rounding in the distances.  Returns
+    (blk, rows), sorted by block, then by row.
+    """
+    near = sup_dist(x[None], grid.block_centers[:, None])
+    return np.nonzero(near < np.reshape(reach, (-1, 1)) + 1e-9)
+
+
 def normalize_weights(phi, S=None):
     """Mixture weights w_l = phi_l / sum_k phi_k from kernel values phi, (..., K^p).
 
@@ -356,7 +379,7 @@ def eval_f(params: KmpParams, x):
                         np.array([params.h]), params.mu[None], params.xi[None], x)[0]
 
 
-# largest (draw x point x block) batch _eval_curves builds at once
+# largest (draw x window pair) batch of kernel radii _eval_curves builds at once
 BATCH_ELEMENTS = 1 << 16
 
 
@@ -364,25 +387,43 @@ def _eval_curves(grid: PartitionGrid, m: int, kernel: str, h, mu, xi, x):
     """Regression curves of T draws at points x, shape (T, n).
 
     The draws share grid, m and kernel and are stacked as h (T,),
-    mu (T, K^p, p) and xi (T, K^p, n_s).  The monomial tensor is built once;
-    draws are processed in batches of at most ``BATCH_ELEMENTS`` radii
-    (fewer than one draw's worth only when a single draw exceeds it).
+    mu (T, K^p, p) and xi (T, K^p, n_s).  Kernel k of draw t is zero beyond
+    sup-distance h_t of mu_tk, so only the points within
+    max_t (h_t + ||mu_tk - mu*_k||_inf) of block k's fixed center can feel
+    it: they form block k's window (:func:`support_pairs`), padded to the
+    widest window with a point at infinity, where every kernel is zero.
+    For a batch of draws, the kernel values and the block polynomials are
+    formed on the windows only, (K^p, draws, window), summed per point into
+    the kernel row sums S and the numerators sum_k phi_k P_k, and divided
+    once per (draw, point) by :func:`normalize_weights`.  A batch holds at
+    most ``BATCH_ELEMENTS`` (draw, window pair) radii, or one draw if a
+    single draw exceeds it.
     """
     x = _check_points(x, grid.p)
-    mono = monomial_tensor(grid, m, x)                   # (n, K^p, n_s)
-    n, nb = mono.shape[:2]
-    T = h.shape[0]
+    n, nb = x.shape[0], grid.n_blocks
+    reach = np.max(h[:, None] + sup_dist(mu, grid.block_centers), axis=0)
+    blk, rows = support_pairs(grid, x, reach)
+    pos = np.arange(blk.size) - np.searchsorted(blk, blk)   # place in window
+    idx = np.full((nb, np.bincount(blk, minlength=nb).max()), n)  # n: padding
+    idx[blk, pos] = rows
+    xw = np.concatenate([x, np.full((1, grid.p), np.inf)])[idx][:, None]
+    mono = np.zeros((nb, len(_mindex_cached(grid.p, m)), idx.shape[1]))
+    mono[blk, :, pos] = monomial_tensor(grid, m, x)[rows, blk]
+    mu, xi = mu.transpose(1, 0, 2)[:, :, None], xi.transpose(1, 0, 2)
     spec = KernelSpec(kernel, 1.0)
+    T = h.shape[0]
     out = np.empty((T, n))
-    step = max(1, BATCH_ELEMENTS // max(1, n * nb))
+    step = max(1, BATCH_ELEMENTS // max(1, idx.size))
     for a in range(0, T, step):
         t = slice(a, a + step)
-        r = sup_dist(x[None, :, None, :], mu[t, None, :, :]) / h[t, None, None]
-        w = normalize_weights(spec.profile(r))
-        # the optimal order, fixed to skip a path search per batch: the
-        # monomials with xi over s first, then the weights over blocks
-        out[t] = np.einsum("tnk,nks,tks->tn", w, mono, xi[t],
-                           optimize=["einsum_path", (1, 2), (0, 1)])
+        tb = h[t].shape[0]
+        phi = spec.profile(sup_dist(xw, mu[:, t]) / h[None, t, None])
+        # bin d * (n + 1) + row of each (block, draw d, window) entry
+        bins = (idx[:, None] + (n + 1) * np.arange(tb)[:, None]).ravel()
+        S, num = (np.bincount(bins, v.ravel(), tb * (n + 1))
+                  .reshape(tb, n + 1)[:, :n]
+                  for v in (phi, phi * (xi[:, t] @ mono)))
+        out[t] = normalize_weights(num, S)
     return out
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import chainio
 from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
 from .core import (KmpParams, PartitionGrid, _check_points, _eval_curves,
-                   eval_f, monomial_tensor, normalize_weights, sup_dist)
+                   eval_f, monomial_tensor, normalize_weights, sup_dist,
+                   support_pairs)
 from .priors import PriorConfig, log_prior_density, sample_prior
 
 
@@ -86,12 +87,9 @@ class ChainState:
         grid = params.grid
         self._x = _check_points(data.x, grid.p)
         # Kh never exceeds h_hi or its start (mh_h reflects into
-        # [h_lo, h_hi]); 1e-9 covers centers on the 1e-12-wide block closure
-        # and rounding in the distances
+        # [h_lo, h_hi]), and a center stays in its block's closure
         kh = max(prior.h_hi, grid.K * params.h)
-        radius = (0.5 + kh) / grid.K + 1e-9
-        near = sup_dist(self._x[None], grid.block_centers[:, None])
-        self.blk, self.rows = np.nonzero(near < radius)
+        self.blk, self.rows = support_pairs(grid, self._x, (0.5 + kh) / grid.K)
         self.offsets = np.searchsorted(
             self.blk, np.arange(grid.n_blocks + 1)).tolist()
         self._xp = self._x[self.rows]

@@ -126,7 +126,7 @@ def dic(draws: PosteriorDraws, data) -> float:
 def dic_parts(draws: PosteriorDraws, data) -> dict:
     mean_ll = float(np.mean(draws.loglik))
     fhat = draws.curves(data.x).mean(axis=0)
-    sigma_bar = float(np.mean(draws.sigmas()))
+    sigma_bar = float(np.mean(draws.sigma))
     with np.errstate(all="ignore"):
         ll_bar = float(_loglik_resid(data.y - fhat, sigma_bar))
     if np.isfinite(ll_bar):
@@ -241,7 +241,7 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
     if len(draws) == 0:
         raise ValueError("no draws")
     f = draws.curves(xnew)                       # (T, G)
-    sig = draws.sigmas()
+    sig = draws.sigma
     mean = f.mean(axis=0)
     alpha = (1.0 - level) / 2.0
     if np.max(sig) < 1e-12:

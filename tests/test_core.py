@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmpoly import (KernelSpec, KmpParams, MultiIndexSet, PartitionGrid,
-                    basis_matrix, eval_basis, eval_f, eval_kernel,
-                    mixture_weights, taylor_project)
+                    PosteriorDraws, basis_matrix, eval_basis, eval_f,
+                    eval_kernel, mixture_weights, taylor_project)
 from kmpoly.core import _check_points, monomial_tensor, sup_dist
 
 from conftest import make_params
@@ -64,6 +64,21 @@ def test_kernel_support_exact_near_boundary():
     vals = spec.profile(t)
     assert vals[0] > 0.0
     assert vals[1] == 0.0 and vals[2] == 0.0
+
+
+def test_bump_matches_masked_formula_and_raises_nothing(rng):
+    # the reference exponentiates only inside the support
+    t = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                  1e300, np.inf, *rng.uniform(0.0, 1.5, 200)])
+    want = np.zeros(t.shape)
+    inside = t < 1.0
+    with np.errstate(under="ignore"):
+        want[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    with np.errstate(all="raise"):
+        got = KernelSpec("bump", 1.0).profile(t)
+        assert float(KernelSpec("bump", 1.0).profile(np.inf)) == 0.0
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[2:6] == 0.0)
 
 
 def test_kernel_spec_rejects_bad_input():
@@ -180,6 +195,14 @@ def test_weights_empty_neighborhood_raises():
     np.testing.assert_array_equal(params.mu.ravel(), [0.0, 0.5, 0.625, 0.875])
     with pytest.raises(FloatingPointError, match="empty kernel neighborhood"):
         mixture_weights(params, np.array([0.25]))
+    # the curve evaluators divide by the same row sums
+    with pytest.raises(FloatingPointError, match="empty kernel neighborhood"):
+        eval_f(params, np.array([0.1, 0.25]))
+    draws = PosteriorDraws(params.grid, 0, "bump", np.full(2, params.h),
+                           np.stack([params.mu] * 2), np.ones((2, 4, 1)),
+                           np.ones(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(FloatingPointError, match="empty kernel neighborhood"):
+        draws.curves(np.array([0.25]))
 
 
 # ---------------------------------------------------------------- multi-indices

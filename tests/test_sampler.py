@@ -57,24 +57,52 @@ def test_loglik_rejects_degenerate_input():
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_batched_curves_match_basis_matrix(p, kernel, m, monkeypatch):
-    rng = np.random.default_rng(100 * p + 10 * m + len(kernel))
-    K = 3
+def test_batched_curves_match_basis_matrix(p, kernel, m):
+    # K = 3 puts every point in every block's window; the larger K leaves
+    # most points outside most windows
+    for K in (3, {1: 12, 2: 6}[p]):
+        with pytest.MonkeyPatch.context() as mp:
+            _check_batched_curves(p, K, kernel, m, mp)
+
+
+def _check_batched_curves(p, K, kernel, m, monkeypatch):
+    rng = np.random.default_rng(100 * p + 10 * m + len(kernel) + K)
     prior = PriorConfig(m=m, kernel=kernel)
     draws = [sample_prior(prior, K, rng, p=p) for _ in range(10)]
-    x = rng.uniform(0.0, 1.0, (37, p))
+    # one batch mixes the narrowest and the widest kernels
+    draws[0].h, draws[1].h = prior.h_lo / K, prior.h_hi / K
+    edges = np.array([0.0, 1.0, *(np.arange(1, K) / K)])
+    x = np.concatenate([rng.uniform(0.0, 1.0, (37, p)),
+                        np.stack([edges] * p, axis=1),
+                        rng.choice(edges, (len(edges), p))])
     chain = PosteriorDraws(PartitionGrid(K, p), m, kernel,
                            *(np.array([getattr(d, c) for d in draws])
                              for c in ("h", "mu", "xi", "sigma")),
                            np.zeros(10), np.zeros(10))
     want = np.array([basis_matrix(d, x) @ d.xi.ravel() for d in draws])
+    shapes = []
+    profile = core.KernelSpec.profile
+
+    def spy(spec, t):
+        shapes.append(np.shape(t))
+        return profile(spec, t)
+
+    monkeypatch.setattr(core.KernelSpec, "profile", spy)
     np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
+    (nb, T, width), = shapes          # (blocks, draws, window): one batch
+    assert (nb, T) == (K**p, 10)
+    if K > 3:
+        assert width < len(x)
     # batches of 3 draws: 10 is not a multiple of the batch size
-    monkeypatch.setattr(core, "BATCH_ELEMENTS", 3 * 37 * K**p)
+    shapes.clear()
+    monkeypatch.setattr(core, "BATCH_ELEMENTS", 3 * nb * width)
     np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
+    assert [s[1] for s in shapes] == [3, 3, 3, 1]
     # a single draw larger than the batch budget still evaluates whole
+    shapes.clear()
     monkeypatch.setattr(core, "BATCH_ELEMENTS", 1)
     np.testing.assert_allclose(eval_f(draws[4], x), want[4], rtol=0, atol=1e-12)
+    assert len(shapes) == 1 and shapes[0][:2] == (nb, 1)
 
 
 def test_curves_reject_empty_chain():
@@ -274,7 +302,7 @@ def test_sigma_recovery_synthetic():
     data = ScenarioSpec(truth="volterra", n=1000, noise_sd=0.2).simulate(0)
     cfg = McmcConfig(burnin=400, samples=300, seed=0, init="lsq")
     draws = run_chain(cfg, prior, 10, data)
-    assert 0.17 <= float(np.mean(draws.sigmas())) <= 0.23
+    assert 0.17 <= float(np.mean(draws.sigma)) <= 0.23
 
 
 def test_lsq_init_starts_near_data():
