@@ -9,29 +9,33 @@ from scipy import special
 
 
 def reflect(x, lo, hi):
-    """Fold a float x into [lo, hi] by repeated reflection at the endpoints.
+    """Fold x, a float or an array, into [lo, hi] by repeated reflection at
+    the endpoints.
 
     Python's float ``%`` takes the sign of the divisor, as ``np.mod`` does,
-    so this matches the array formula bit for bit.
+    so a float and an array entry of the same value fold to the same bits.
+    A fold past the midpoint, y > width, is 2 width - y exactly (Sterbenz),
+    so taking the smaller of y and 2 width - y reflects only those.
     """
     width = hi - lo
     y = (x - lo) % (2.0 * width)
-    if y > width:
-        y = 2.0 * width - y
-    return lo + y
+    return lo + np.minimum(y, 2.0 * width - y)
 
 
-def truncnorm_sample(rng, mean, sd, lo, hi):
-    """One draw from N(mean, sd^2) truncated to [lo, hi], via inverse CDF.
+def truncnorm_ppf(u, mean, sd, lo, hi):
+    """Quantile u in [0, 1) of N(mean, sd^2) truncated to [lo, hi]: a draw
+    when u is uniform.
 
     Falls back to the upper/lower tail parameterization when the box sits
     far in a tail, and clips to the nearer endpoint if even that underflows.
+    A box far out in a very wide normal (sd ~ 1e17, from a coefficient whose
+    kernel values are nearly zero) leaves mean + sd z to cancellation, off
+    by an ulp of the mean, so the result is clipped to the box as well.
     """
     if not sd > 0:
         raise ValueError("sd must be positive")
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    u = rng.uniform()
     if a > 0:  # entire box in the upper tail: work with survival functions
         sa, sb = special.ndtr(-a), special.ndtr(-b)
         if sa - sb <= 0.0:
@@ -45,7 +49,8 @@ def truncnorm_sample(rng, mean, sd, lo, hi):
     else:
         fa, fb = special.ndtr(a), special.ndtr(b)
         z = special.ndtri(fa + u * (fb - fa))
-    return float(mean + sd * min(max(z, a), b))
+    x = mean + sd * min(max(z, a), b)
+    return float(min(max(x, lo), hi))
 
 
 def truncnorm_logpdf(x, mean, sd, lo, hi):
@@ -74,7 +79,7 @@ def trunc_invgamma_sample(rng, shape, scale, lo, hi):
     if fhi - flo <= 0.0:
         # all mass numerically outside the box: return the nearer endpoint
         return float(lo) if flo >= 1.0 else float(hi)
-    u = flo + rng.uniform() * (fhi - flo)
+    u = flo + rng.random() * (fhi - flo)
     u = min(max(u, 1e-300), 1 - 1e-16)
     z = special.gammainccinv(shape, u)
     x = scale / z

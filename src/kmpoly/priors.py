@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special, stats
 
-from ._stats import invgamma_logpdf, trunc_invgamma_sample, truncnorm_sample
+from ._stats import invgamma_logpdf, trunc_invgamma_sample, truncnorm_ppf
 from .core import KmpParams, MultiIndexSet, PartitionGrid
 
 
@@ -60,12 +60,21 @@ class PriorConfig:
         self.validate()
 
     def validate(self):
-        if not (1.0 < self.h_lo < self.h_hi):
-            raise ValueError("need 1 < h_lo < h_hi")
+        """Raise ValueError naming the first field out of range; every check
+        fails on NaN."""
+        if not (1.0 < self.h_lo < self.h_hi < math.inf):
+            raise ValueError("need 1 < h_lo < h_hi < inf")
         if not (0.0 < self.sigma_lo < self.sigma_hi):
             raise ValueError("need 0 < sigma_lo < sigma_hi")
-        if self.B <= 0 or self.tau_xi <= 0 or self.tau_beta <= 0:
-            raise ValueError("scale hyperparameters must be positive")
+        for name in ("B", "tau_xi", "tau_beta", "lam", "sigma_shape", "sigma_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"need {name} > 0, got {name} = {getattr(self, name)}")
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError(f"need 0 < rho <= 1, got rho = {self.rho}")
+        for name in ("step_mu", "step_kh"):
+            step = getattr(self, name)
+            if not (step >= 0 and math.isfinite(step)):
+                raise ValueError(f"need a finite {name} >= 0, got {name} = {step}")
         if self.m < 0:
             raise ValueError("polynomial degree must be nonnegative")
         if self.pi_K not in ("geometric", "poisson"):
@@ -119,9 +128,8 @@ def sample_prior(cfg: PriorConfig, K: int, rng, p: int = 1) -> KmpParams:
     if cfg.xi_dist == "uniform":
         xi = rng.uniform(-cfg.B, cfg.B, size=(nb, n_s))
     else:
-        xi = np.empty((nb, n_s))
-        for idx in np.ndindex(nb, n_s):
-            xi[idx] = truncnorm_sample(rng, 0.0, sd, -cfg.B, cfg.B)
+        xi = np.array([truncnorm_ppf(u, 0.0, sd, -cfg.B, cfg.B)
+                       for u in rng.random(nb * n_s).tolist()]).reshape(nb, n_s)
     return KmpParams(grid, kh / K, mu, xi, sigma, m=cfg.m, kernel=cfg.kernel)
 
 

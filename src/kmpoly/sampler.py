@@ -10,6 +10,12 @@ kernel row sums and the residuals per point (see :class:`ChainState`).  A
 coefficient or center step then costs O(pairs of its block) and a bandwidth
 step O(pairs), about O(n Kh) each rather than O(n K^p); no dense basis
 matrix is kept and no n-by-n factorization appears anywhere.
+
+No random number a step draws depends on the state, so each step takes its
+draws up front, in the order a per-block, per-coordinate loop would take
+them: ``gibbs_xi`` one uniform per coefficient, ``mh_mu`` a normal and an
+accept uniform per block.  The generator stream, and so every draw, is the
+same as that loop's, while the kernel work of a step runs in one batch.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chainio
-from ._stats import reflect, trunc_invgamma_sample, truncnorm_sample
+from ._stats import reflect, trunc_invgamma_sample, truncnorm_ppf
 from .core import (KmpParams, PartitionGrid, _check_points, _eval_curves,
                    eval_f, monomial_tensor, normalize_weights, sup_dist,
                    support_pairs)
@@ -72,11 +78,12 @@ class ChainState:
     fixed center.  The constructor lists those (point, block) pairs once,
     sorted by block (block k owns pairs ``offsets[k]:offsets[k + 1]``, at
     design rows ``rows`` and blocks ``blk``), and every cache lives on them:
-    the sup-distances to the centers (dist), the kernel values (phi) and the
-    centered monomials (mono, (n_s, pairs), fixed by the design).  Per design point it
-    keeps the kernel row sum S and the residual resid.  A center move
-    touches only its block's pairs, and nothing here ever factorizes an
-    n-by-n matrix.
+    the sup-distances to the centers (dist), the kernel values (phi), the
+    centered monomials (mono, (n_s, pairs), fixed by the design) and the
+    block polynomials there (poly, xi_k . mono on block k's pairs).  Per
+    design point it keeps the kernel row sum S and the residual resid.  A
+    center move touches only its block's pairs, and nothing here ever
+    factorizes an n-by-n matrix.
     """
 
     def __init__(self, params: KmpParams, data, prior: PriorConfig):
@@ -101,14 +108,17 @@ class ChainState:
         """Per-point sums of values on the pairs."""
         return np.bincount(self.rows, weights=phi, minlength=self.data.n)
 
+    def _poly(self):
+        """Block polynomials on the pairs at the current xi, one product per
+        block, as :func:`gibbs_xi` updates them."""
+        off, xi = self.offsets, self.params.xi
+        return np.concatenate([xi[k] @ self.mono[:, off[k]:off[k + 1]]
+                               for k in range(xi.shape[0])])
+
     def _fit(self, phi, S):
         """Fitted values sum_k w_k(x) P_k(x - mu*_k) from kernel values and
         their row sums, with the weights of :func:`normalize_weights`."""
-        w = normalize_weights(phi, S[self.rows])
-        off, xi = self.offsets, self.params.xi
-        poly = np.concatenate([xi[k] @ self.mono[:, off[k]:off[k + 1]]
-                               for k in range(xi.shape[0])])
-        return self._row_sums(w * poly)
+        return self._row_sums(normalize_weights(phi, S[self.rows]) * self.poly)
 
     def at_bandwidth(self, h):
         """Kernel values on the pairs, their row sums and the residuals
@@ -120,6 +130,7 @@ class ChainState:
     def refresh(self):
         """Recompute every cache from the current parameters."""
         self.dist = sup_dist(self._xp, self.params.mu[self.blk])
+        self.poly = self._poly()
         self.phi, self.S, self.resid = self.at_bandwidth(self.params.h)
 
     def basis(self, phi=None):
@@ -142,7 +153,8 @@ def gibbs_xi(state: ChainState, rng) -> ChainState:
     With a (possibly truncated) normal coefficient prior and Gaussian
     likelihood, each conditional is normal truncated to [-B, B].  Block k's
     basis columns are nonzero only on its pairs, so its coordinates work on
-    the residuals of those rows alone.
+    the residuals of those rows alone.  Each coordinate takes one uniform,
+    drawn for the whole sweep at once, as its inverse-CDF argument.
     """
     cfg = state.prior
     sigma2 = state.params.sigma**2
@@ -153,6 +165,7 @@ def gibbs_xi(state: ChainState, rng) -> ChainState:
     # basis columns on the pairs, each contiguous: (n_s, pairs)
     cols = state.mono * normalize_weights(state.phi, state.S[state.rows])
     resid, off = state.resid, state.offsets
+    u = iter(rng.random(xi.size).tolist())
     for k in range(xi.shape[0]):
         a, b = off[k], off[k + 1]
         rows = state.rows[a:b]
@@ -166,15 +179,18 @@ def gibbs_xi(state: ChainState, rng) -> ChainState:
             if not (prec > 0 and math.isfinite(prec)):
                 # degenerate conditional: fall back to a prior draw
                 state.xi_fallbacks += 1
-                new = (rng.uniform(-cfg.B, cfg.B) if flat_prior
-                       else truncnorm_sample(rng, 0.0, prior_sd, -cfg.B, cfg.B))
+                # -B + 2B u is what rng.uniform(-B, B) returns for this u
+                new = (-cfg.B + (cfg.B - -cfg.B) * next(u) if flat_prior
+                       else truncnorm_ppf(next(u), 0.0, prior_sd, -cfg.B, cfg.B))
             else:
                 mean = (g / sigma2) / prec
-                new = truncnorm_sample(rng, mean, 1.0 / math.sqrt(prec), -cfg.B, cfg.B)
+                new = truncnorm_ppf(next(u), mean, 1.0 / math.sqrt(prec),
+                                    -cfg.B, cfg.B)
             if new != old:
                 r -= col * (new - old)
                 xi_k[j] = new
         resid[rows] = r
+        state.poly[a:b] = xi_k @ state.mono[:, a:b]
     return state
 
 
@@ -183,46 +199,53 @@ def mh_mu(state: ChainState, rng, step: float):
 
     Returns (state, n_accepted); centers never leave their block closures.
 
-    A move of center k changes kernel values only on block k's pairs, so
-    each proposal updates the row sums S, the fit and the log-likelihood on
-    those rows: with fit = y - resid and dphi the kernel change, the new fit
-    is fit + dphi (P_k - fit) / S_new, where S_new = S + dphi stays positive
+    The draws come first, in the order of a per-block loop: block k's p
+    normals, then its accept uniform.  No proposal depends on another
+    block's outcome, so all K^p are formed, and their kernels evaluated on
+    every pair, in one batch.  A move of center k changes kernel values only
+    on block k's pairs, so the accept step, in block order, updates the row
+    sums S, the fit and the log-likelihood on those rows: with fit =
+    y - resid and dphi the kernel change, the new fit is
+    fit + dphi (P_k - fit) / S_new, where S_new = S + dphi stays positive
     under the Kh > 1 invariant of :func:`normalize_weights`.
     """
     params = state.params
     grid = params.grid
-    K, p = grid.K, grid.p
+    K, p, nb = grid.K, grid.p, grid.n_blocks
+    z = np.empty((nb, p))
+    log_u = []
+    for k in range(nb):
+        z[k] = rng.normal(size=p)
+        log_u.append(math.log(rng.random()))
     centers = grid.block_centers
-    spec, h, xi = params.spec, params.h, params.xi
-    y, S, resid = state.data.y, state.S, state.resid
+    prop = reflect(2.0 * K * (params.mu - centers) + step * z, -1.0, 1.0)
+    new_mu = centers + prop / (2.0 * K)
+    dist = sup_dist(state._xp, new_mu[state.blk])
+    phi_new = params.spec.profile(dist / params.h)
+    dphi = phi_new - state.phi
+    y, S, resid, poly = state.data.y, state.S, state.resid, state.poly
     half_prec = 0.5 / params.sigma**2
     off = state.offsets
-    accepted = 0
+    accept = np.zeros(nb, dtype=bool)
     # Kh > 1 keeps every S_new positive; a zero division below means that
     # invariant was violated
     with np.errstate(divide="raise", invalid="raise"):
-        for k in range(grid.n_blocks):
-            mt_k = 2.0 * K * (params.mu[k] - centers[k])
-            walk = (mt_k + step * rng.normal(size=p)).tolist()
-            prop = np.array([reflect(v, -1.0, 1.0) for v in walk])
-            new_mu_k = centers[k] + prop / (2.0 * K)
+        for k in range(nb):
             a, b = off[k], off[k + 1]
             rows = state.rows[a:b]
-            dist = sup_dist(state._xp[a:b], new_mu_k)
-            phi_new = spec.profile(dist / h)
-            dphi = phi_new - state.phi[a:b]
-            S_new = S[rows] + dphi
+            d = dphi[a:b]
+            S_new = S[rows] + d
             r = resid[rows]
-            r_new = r - dphi * (xi[k] @ state.mono[:, a:b] - (y[rows] - r)) / S_new
-            delta = half_prec * (float(r @ r) - float(r_new @ r_new))
-            if math.log(rng.uniform()) < delta:
-                state.phi[a:b] = phi_new
-                state.dist[a:b] = dist
+            r_new = r - d * (poly[a:b] - (y[rows] - r)) / S_new
+            if log_u[k] < half_prec * (float(r @ r) - float(r_new @ r_new)):
                 S[rows] = S_new
                 resid[rows] = r_new
-                params.mu[k] = new_mu_k
-                accepted += 1
-    return state, accepted
+                accept[k] = True
+    on = accept[state.blk]
+    np.copyto(state.phi, phi_new, where=on)
+    np.copyto(state.dist, dist, where=on)
+    np.copyto(params.mu, new_mu, where=accept[:, None])
+    return state, int(accept.sum())
 
 
 def mh_h(state: ChainState, rng, step: float):
@@ -235,10 +258,10 @@ def mh_h(state: ChainState, rng, step: float):
     cfg = state.prior
     params = state.params
     K = params.grid.K
-    h_new = reflect(K * params.h + step * rng.normal(), cfg.h_lo, cfg.h_hi) / K
+    h_new = float(reflect(K * params.h + step * rng.normal(), cfg.h_lo, cfg.h_hi)) / K
     phi, S, resid = state.at_bandwidth(h_new)
     delta = _loglik_resid(resid, params.sigma) - state.loglik()
-    if math.log(rng.uniform()) < delta:
+    if math.log(rng.random()) < delta:
         params.h = h_new
         state.phi, state.S, state.resid = phi, S, resid
         return state, 1
@@ -326,6 +349,7 @@ def _initial_state(cfg: McmcConfig, prior: PriorConfig, K: int, data, rng):
         xi = solve_xi_box(data.y, psi, prior.B, tol=1e-6, max_sweeps=50)
         state.params.xi[:] = xi.reshape(state.params.xi.shape)
         state.resid = data.y - psi @ xi
+        state.poly = state._poly()
     return state
 
 
@@ -333,11 +357,19 @@ def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
               init_params: KmpParams | None = None) -> PosteriorDraws:
     """Run the full Metropolis-within-Gibbs chain; deterministic given seed.
 
-    ``init_params``, if given, must lie inside the prior's bounds (B, h_lo,
-    h_hi, sigma_lo, sigma_hi); a violation raises ValueError naming it.
+    ``init_params``, if given, must have the chain's K, the data's p and the
+    prior's m and kernel, and lie inside the prior's bounds (B, h_lo, h_hi,
+    sigma_lo, sigma_hi); a violation raises ValueError naming it.
     """
     rng = np.random.default_rng(cfg.seed)
     if init_params is not None:
+        for name, have, want in (("K", init_params.grid.K, K),
+                                 ("p", init_params.grid.p, data.p),
+                                 ("m", init_params.m, prior.m),
+                                 ("kernel", init_params.kernel, prior.kernel)):
+            if have != want:
+                raise ValueError(f"init_params has {name} = {have!r} where the "
+                                 f"chain has {name} = {want!r}")
         init_params.validate(prior.B, prior.h_lo, prior.h_hi, prior.sigma_lo,
                              prior.sigma_hi)
         state = ChainState(init_params.copy(), data, prior)

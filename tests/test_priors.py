@@ -22,12 +22,28 @@ def test_config_validation():
         PriorConfig(h_lo=0.9)       # needs Kh > 1
     with pytest.raises(ValueError):
         PriorConfig(h_lo=2.0, h_hi=1.2)
+    with pytest.raises(ValueError, match="h_hi < inf"):
+        PriorConfig(h_hi=math.inf)      # the prior draws Kh uniformly up to h_hi
     with pytest.raises(ValueError):
         PriorConfig(B=-1.0)
     with pytest.raises(ValueError):
         PriorConfig(pi_K="zipf")
     with pytest.raises(ValueError):
         PriorConfig(K_min=9, K_max=6)
+    nan = float("nan")
+    bad = [("B", nan), ("tau_xi", nan), ("tau_beta", 0.0), ("lam", 0.0),
+           ("lam", nan), ("sigma_shape", -1.0), ("sigma_scale", 0.0),
+           ("rho", 1.5), ("rho", 0.0), ("rho", nan), ("step_mu", -0.1),
+           ("step_mu", math.inf), ("step_kh", nan)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=rf"need .*{name}.*, got {name} = "):
+            PriorConfig(**{name: value})
+    # the config file the CLI reads goes through the same checks
+    with pytest.raises(ValueError, match="got B = nan"):
+        PriorConfig.from_json('{"B": NaN}')
+    # the conjugate check runs with an unbounded coefficient box, and zero
+    # steps freeze the geometry
+    assert PriorConfig(B=math.inf, rho=1.0, step_mu=0.0, step_kh=0.0).B == math.inf
 
 
 def test_json_roundtrip(tmp_path):

@@ -7,9 +7,12 @@ import pytest
 from scipy import stats
 
 from kmpoly import (Dataset, McmcConfig, PartitionGrid, PosteriorDraws,
-                    PriorConfig, basis_matrix, core, eval_f, log_prior_density,
-                    loglik, run_chain, run_plm_chain, sample_prior)
-from kmpoly.sampler import ChainState, gibbs_xi, mh_h, mh_mu
+                    PriorConfig, SieveConfig, basis_matrix, core, eval_f,
+                    fit_sieve_mle, log_prior_density, loglik, plm, run_chain,
+                    run_plm_chain, sample_prior, sieve)
+from kmpoly._stats import reflect, truncnorm_ppf
+from kmpoly.sampler import (ChainState, _initial_state, gibbs_sigma, gibbs_xi,
+                            mh_h, mh_mu)
 
 from conftest import make_params, sine_data
 
@@ -129,9 +132,23 @@ def _moves(state, rng, sweeps=25):
         mh_h(state, rng, 0.1)
 
 
+def _same_bits(a, b, what=""):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), what
+
+
+def _check_poly(state):
+    # the cached block polynomials against a fresh product per block
+    off, xi = state.offsets, state.params.xi
+    _same_bits(state.poly, np.concatenate(
+        [xi[k] @ state.mono[:, off[k]:off[k + 1]] for k in range(xi.shape[0])]),
+        "poly")
+
+
 def _check_caches(state):
-    # the pair caches against the dense kernel, a fresh refresh() and the
-    # model's residual y - psi xi
+    # the pair caches against the dense kernel, fresh block polynomials, a
+    # fresh refresh() and the model's residual y - psi xi
+    _check_poly(state)
     params, data = state.params, state.data
     dense = core.eval_kernel(params.spec, data.x[:, None, :] - params.mu[None])
     on_pairs = np.zeros(dense.shape, dtype=bool)
@@ -186,6 +203,161 @@ def test_caches_with_empty_blocks(rng, x):
     assert counts[-1] == 0 and counts.sum() == state.rows.shape[0]
     _moves(state, rng)
     _check_caches(state)
+
+
+def test_poly_cache_after_lsq_start_plm_pre_step_and_sieve(monkeypatch):
+    data = _oracle_data(1, 2, seed=3)
+    cfg = McmcConfig(burnin=3, samples=2, seed=1, init="lsq")
+    _check_caches(_initial_state(cfg, PriorConfig(), 4, Dataset(data.x, data.y),
+                                 np.random.default_rng(1)))
+    # every PLM beta pre-step, from the lsq start on
+    run_sweeps, checked = plm._run_sweeps, []
+
+    def checked_sweeps(cfg, prior, state, rng, pre_step):
+        def checked_pre_step(state, rng):
+            out = pre_step(state, rng)
+            _check_caches(state)
+            checked.append(state)
+            return out
+        return run_sweeps(cfg, prior, state, rng, checked_pre_step)
+
+    monkeypatch.setattr(plm, "_run_sweeps", checked_sweeps)
+    run_plm_chain(cfg, PriorConfig(), 4, data, estimate_sigma=True)
+    assert len(checked) == 5
+
+    # every fit the sieve scores, refit off (5 blocks x 3 coefficients > 12),
+    # sees the polynomials of the state's current xi
+    class CheckedState(ChainState):
+        def _fit(self, phi, S):
+            _check_poly(self)
+            checked.append(self)
+            return super()._fit(phi, S)
+
+    monkeypatch.setattr(sieve, "ChainState", CheckedState)
+    fit = fit_sieve_mle(Dataset(data.x, data.y),
+                        SieveConfig(K=5, multistart=2, max_outer=3),
+                        np.random.default_rng(0))
+    assert np.any(fit.params.xi != 0.0) and len(checked) > 100
+
+
+# ---------------------------------------------------------------- draw order
+
+def _gibbs_xi_per_coordinate(state, rng):
+    """gibbs_xi as a loop that draws each coordinate's uniform when it needs
+    it, with rng.uniform: the reference for the sweep's batched draws."""
+    cfg = state.prior
+    sigma2 = state.params.sigma**2
+    prior_sd = cfg._xi_sd(state.params.sigma)
+    flat_prior = cfg.xi_dist == "uniform"
+    prior_prec = 0.0 if flat_prior else 1.0 / prior_sd**2
+    xi = state.params.xi
+    cols = state.mono * core.normalize_weights(state.phi, state.S[state.rows])
+    resid, off = state.resid, state.offsets
+    for k in range(xi.shape[0]):
+        a, b = off[k], off[k + 1]
+        rows = state.rows[a:b]
+        r = resid[rows]
+        for j, col in enumerate(cols[:, a:b]):
+            d = float(col @ col)
+            old = float(xi[k, j])
+            g = float(col @ r) + d * old
+            prec = d / sigma2 + prior_prec
+            if not (prec > 0 and math.isfinite(prec)):
+                state.xi_fallbacks += 1
+                new = (rng.uniform(-cfg.B, cfg.B) if flat_prior else
+                       truncnorm_ppf(rng.uniform(), 0.0, prior_sd, -cfg.B, cfg.B))
+            else:
+                new = truncnorm_ppf(rng.uniform(), (g / sigma2) / prec,
+                                    1.0 / math.sqrt(prec), -cfg.B, cfg.B)
+            if new != old:
+                r -= col * (new - old)
+                xi[k, j] = new
+        resid[rows] = r
+    state.poly = state._poly()
+
+
+def _mh_mu_per_block(state, rng, step):
+    """mh_mu as a loop that draws, proposes and evaluates one block at a
+    time, with rng.uniform: the reference for the batched proposals."""
+    params = state.params
+    grid = params.grid
+    K, p, centers = grid.K, grid.p, grid.block_centers
+    y, S, resid = state.data.y, state.S, state.resid
+    half_prec = 0.5 / params.sigma**2
+    off = state.offsets
+    accepted = 0
+    for k in range(grid.n_blocks):
+        mt_k = 2.0 * K * (params.mu[k] - centers[k])
+        walk = (mt_k + step * rng.normal(size=p)).tolist()
+        prop = np.array([reflect(v, -1.0, 1.0) for v in walk])
+        new_mu_k = centers[k] + prop / (2.0 * K)
+        a, b = off[k], off[k + 1]
+        rows = state.rows[a:b]
+        dist = core.sup_dist(state._xp[a:b], new_mu_k)
+        phi_new = params.spec.profile(dist / params.h)
+        dphi = phi_new - state.phi[a:b]
+        S_new = S[rows] + dphi
+        r = resid[rows]
+        poly = params.xi[k] @ state.mono[:, a:b]
+        r_new = r - dphi * (poly - (y[rows] - r)) / S_new
+        delta = half_prec * (float(r @ r) - float(r_new @ r_new))
+        if math.log(rng.uniform()) < delta:
+            state.phi[a:b] = phi_new
+            state.dist[a:b] = dist
+            S[rows] = S_new
+            resid[rows] = r_new
+            params.mu[k] = new_mu_k
+            accepted += 1
+    return state, accepted
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
+@pytest.mark.parametrize("xi_dist", ["truncnorm", "uniform"])
+def test_batched_steps_draw_like_the_per_block_loops(p, kernel, xi_dist):
+    # no draw depends on the state, so the batched steps must leave the
+    # generator, the parameters and every cache byte-equal to loops that
+    # draw each number when they need it.  The points fill only the lower
+    # corner of the cube, so the upper blocks hold no pair (under the flat
+    # prior their coefficients take the fallback prior draw); steps of 0.8
+    # on mu-tilde in [-1, 1] and 0.5 on Kh in [1.2, 2] reflect often.
+    rng = np.random.default_rng(10 * p + len(kernel) + len(xi_dist))
+    K, top = (8, 0.3) if p == 1 else (4, 0.25)
+    x = rng.uniform(0.0, top, (40, p))
+    data = Dataset(x, np.sin(20.0 * x[:, 0]) + 0.1 * rng.standard_normal(40))
+    prior = PriorConfig(kernel=kernel, m=2 if p == 1 else 1, xi_dist=xi_dist)
+    start = sample_prior(prior, K, rng, p=p)
+    batched, looped = (ChainState(start.copy(), data, prior) for _ in range(2))
+    assert np.diff(batched.offsets)[-1] == 0
+    rb, rl = np.random.default_rng(7), np.random.default_rng(7)
+    accepted = 0
+    for _ in range(6):
+        gibbs_xi(batched, rb)
+        _gibbs_xi_per_coordinate(looped, rl)
+        _, acc = mh_mu(batched, rb, 0.8)
+        _, ref_acc = _mh_mu_per_block(looped, rl, 0.8)
+        assert acc == ref_acc
+        accepted += acc
+        for state, r in ((batched, rb), (looped, rl)):
+            mh_h(state, r, 0.5)
+            gibbs_sigma(state, r)
+    assert 0 < accepted < 6 * K**p
+    assert (batched.xi_fallbacks > 0) == (xi_dist == "uniform")
+    # a noise scale whose square is subnormal makes the conditional
+    # precision of every coefficient with data infinite, so those take the
+    # fallback draw under either prior
+    fallbacks = batched.xi_fallbacks
+    for state in (batched, looped):
+        state.params.sigma = 1e-160
+    gibbs_xi(batched, rb)
+    _gibbs_xi_per_coordinate(looped, rl)
+    assert batched.xi_fallbacks == looped.xi_fallbacks > fallbacks
+    assert rb.bit_generator.state == rl.bit_generator.state
+    for name in ("dist", "phi", "S", "resid", "poly"):
+        _same_bits(getattr(batched, name), getattr(looped, name), name)
+    for name in ("h", "mu", "xi", "sigma"):
+        _same_bits(getattr(batched.params, name), getattr(looped.params, name), name)
+    _check_caches(batched)
 
 
 # ---------------------------------------------------------------- gibbs_xi
@@ -325,11 +497,21 @@ def test_lsq_init_starts_near_data():
                  "xi = -60.0 lies outside [-B, B] with B = 50.0", id="xi"),
     pytest.param(lambda q: setattr(q, "sigma", 20.0),
                  "sigma = 20.0 is above sigma_hi = 10.0", id="sigma"),
+    pytest.param(lambda q: make_params(K=5),
+                 "init_params has K = 5 where the chain has K = 4", id="K"),
+    pytest.param(lambda q: make_params(K=4, p=2),
+                 "init_params has p = 2 where the chain has p = 1", id="p"),
+    pytest.param(lambda q: make_params(K=4, m=1),
+                 "init_params has m = 1 where the chain has m = 2", id="m"),
+    pytest.param(lambda q: make_params(K=4, kernel="triangle"),
+                 "init_params has kernel = 'triangle' where the chain has "
+                 "kernel = 'bump'", id="kernel"),
 ])
 def test_run_chain_rejects_init_params_outside_the_prior(edit, match):
+    # an edit either changes the draw in place or returns another start
     prior = PriorConfig()
     params = sample_prior(prior, 4, np.random.default_rng(0))
-    edit(params)
+    params = edit(params) or params
     with pytest.raises(ValueError, match=re.escape(match)):
         run_chain(McmcConfig(burnin=0, samples=1), prior, 4, sine_data(20, seed=1),
                   init_params=params)

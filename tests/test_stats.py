@@ -5,7 +5,7 @@ from scipy import stats
 
 from kmpoly._stats import (invgamma_cdf, invgamma_logpdf, reflect,
                            trunc_invgamma_sample, truncnorm_logpdf,
-                           truncnorm_sample)
+                           truncnorm_ppf)
 
 
 def test_reflect_identity_inside():
@@ -45,14 +45,16 @@ def test_reflect_matches_array_formula(lo, width, data):
         st.floats(-1e6, 1e6),
         st.integers(-1000, 1000).map(lambda k: lo + k * width),
         st.integers(-1000, 1000).map(lambda k: hi + k * width)))
-    assert reflect(x, lo, hi).hex() == float(_reflect_array(x, lo, hi)).hex()
+    want = float(_reflect_array(x, lo, hi)).hex()
+    assert reflect(x, lo, hi).hex() == want
+    assert float(reflect(np.array([x, 0.5 * (lo + hi)]), lo, hi)[0]).hex() == want
 
 
 def test_truncnorm_sample_matches_scipy():
     rng = np.random.default_rng(7)
     mean, sd, lo, hi = 0.4, 1.3, -1.0, 2.0
-    draws = np.array([truncnorm_sample(rng, mean, sd, lo, hi)
-                      for _ in range(5000)])
+    draws = np.array([truncnorm_ppf(u, mean, sd, lo, hi)
+                      for u in rng.random(5000)])
     assert np.all((draws >= lo) & (draws <= hi))
     a, b = (lo - mean) / sd, (hi - mean) / sd
     ks = stats.kstest(draws, stats.truncnorm(a, b, loc=mean, scale=sd).cdf)
@@ -61,11 +63,23 @@ def test_truncnorm_sample_matches_scipy():
 
 def test_truncnorm_sample_far_tail_box():
     rng = np.random.default_rng(3)
-    draws = [truncnorm_sample(rng, 0.0, 1.0, 8.0, 9.0) for _ in range(200)]
+    draws = [truncnorm_ppf(u, 0.0, 1.0, 8.0, 9.0) for u in rng.random(200)]
     assert np.all(np.isfinite(draws))
     assert np.all((np.asarray(draws) >= 8.0) & (np.asarray(draws) <= 9.0))
-    draws = [truncnorm_sample(rng, 0.0, 1.0, -9.0, -8.0) for _ in range(200)]
+    draws = [truncnorm_ppf(u, 0.0, 1.0, -9.0, -8.0) for u in rng.random(200)]
     assert np.all((np.asarray(draws) >= -9.0) & (np.asarray(draws) <= -8.0))
+
+
+def test_truncnorm_ppf_stays_in_the_box_of_a_very_wide_normal():
+    # a conditional gibbs_xi met on a coefficient whose kernel values were
+    # nearly zero: mean + sd z cancels to 64.0 unless clipped to [-50, 50]
+    x = truncnorm_ppf(0.24007964606358656, -3.886048187481202e+17,
+                      2.7859537444365894e+17, -50.0, 50.0)
+    assert -50.0 <= x <= 50.0
+    rng = np.random.default_rng(5)
+    for mean, sd in [(-3.9e17, 2.8e17), (4e18, 3e18), (1e17, 1e16)]:
+        draws = [truncnorm_ppf(u, mean, sd, -50.0, 50.0) for u in rng.random(500)]
+        assert np.all(np.abs(draws) <= 50.0)
 
 
 def test_truncnorm_logpdf_matches_scipy():
