@@ -65,17 +65,17 @@ def truncnorm_logpdf(x, mean, sd, lo, hi):
 
 
 def invgamma_cdf(x, shape, scale):
-    """CDF of the inverse-gamma(shape, scale) distribution (density
-    proportional to x^{-shape-1} exp(-scale/x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, special.gammaincc(shape, scale / np.maximum(x, 1e-300)), 0.0)
-    return out
+    """CDF at a float x of the inverse-gamma(shape, scale) distribution
+    (density proportional to x^{-shape-1} exp(-scale/x))."""
+    if not x > 0:
+        return 0.0
+    return float(special.gammaincc(shape, scale / max(x, 1e-300)))
 
 
 def trunc_invgamma_sample(rng, shape, scale, lo, hi):
     """One draw from inverse-gamma(shape, scale) truncated to [lo, hi]."""
-    flo = float(invgamma_cdf(lo, shape, scale))
-    fhi = float(invgamma_cdf(hi, shape, scale))
+    flo = invgamma_cdf(lo, shape, scale)
+    fhi = invgamma_cdf(hi, shape, scale)
     if fhi - flo <= 0.0:
         # all mass numerically outside the box: return the nearer endpoint
         return float(lo) if flo >= 1.0 else float(hi)

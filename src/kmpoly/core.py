@@ -76,15 +76,20 @@ class PartitionGrid:
             flat = flat * self.K + (kj[:, j] - 1)
         return flat
 
+    @functools.cached_property
     def closure(self):
-        """Bounds (lo, hi), each (K^p, p), of the closed blocks, 1e-12 wider."""
+        """Read-only bounds (lo, hi), each (K^p, p), of the closed blocks,
+        1e-12 wider."""
         half = 0.5 / self.K
-        return self.block_centers - half - 1e-12, self.block_centers + half + 1e-12
+        lo = self.block_centers - half - 1e-12
+        hi = self.block_centers + half + 1e-12
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
     def contains(self, mu):
         """Check that mu[l] lies in the closure of block l for every l."""
         mu = np.asarray(mu, dtype=float)
-        lo, hi = self.closure()
+        lo, hi = self.closure
         return bool(np.all(mu >= lo) and np.all(mu <= hi))
 
 
@@ -267,7 +272,7 @@ def draw_violations(grid: PartitionGrid, h, mu, xi, sigma, B=np.inf, h_lo=1.0,
     """
     K, tol = grid.K, 1e-12
     kh = K * h
-    lo, hi = grid.closure()
+    lo, hi = grid.closure
     cols = {"h": h, "mu": mu, "xi": xi, "sigma": sigma}
     checks = [(name, ~np.isfinite(v), lambda v, i: "is not finite")
               for name, v in cols.items()]

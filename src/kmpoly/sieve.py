@@ -70,9 +70,11 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
 
 def _kkt_residual(psi, r, xi, B, d):
     g = -(psi.T @ r)  # half-gradient of the squared loss
-    # per coordinate: at the upper bound, at the lower bound, interior
-    res = np.where(xi >= B - 1e-14, np.maximum(-g, 0.0),
-                   np.where(xi <= -B + 1e-14, np.maximum(g, 0.0), np.abs(g)))
+    # per coordinate: at the upper bound only a positive gradient (a descent
+    # direction into the box) violates optimality, at the lower bound only
+    # a negative one; interior coordinates need a zero gradient
+    res = np.where(xi >= B - 1e-14, np.maximum(g, 0.0),
+                   np.where(xi <= -B + 1e-14, np.maximum(-g, 0.0), np.abs(g)))
     return float(np.max(res[d != 0.0], initial=0.0))
 
 

@@ -22,6 +22,8 @@ from .io_utils import atomic_write, write_json
 from .priors import PriorConfig
 from .sampler import McmcConfig, PosteriorDraws, _loglik_resid, run_chain
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 @dataclass
 class CredibleSummary:
@@ -225,16 +227,25 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
     """Posterior predictive mean and central interval at new points.
 
     The predictive law at a point is the Gaussian mixture over draws
-    y* = f_t(x*) + N(0, sigma_t^2).  Both interval endpoints at every point
-    are found together by bisection on the mixture CDF, started from the
-    bracket [min_t f_t - 8 max sigma, max_t f_t + 8 max sigma] and run until
-    it is narrower than 1e-10 * max(1, max sigma) (or than the float
-    spacing of the endpoints, if that is wider).  The lower endpoint is the
-    final bracket's left end and the upper its right end, so the interval
-    holds the exact quantile interval, jumps of the CDF (where some sigma_t
-    is zero) included, and is wider by less than the tolerance at each end.
-    If every sigma is below 1e-12 the endpoints are empirical quantiles of
-    the curves.  Returns (mean, lower, upper).
+    y* = f_t(x*) + N(0, sigma_t^2), whose CDF F counts a draw with
+    sigma_t = 0 as the right-continuous step 1{f_t <= y}.  Both interval
+    endpoints at every point are found together by safeguarded Newton
+    iteration on F (``rtsafe``, Numerical Recipes 9.4) inside the bracket
+    [min_t f_t - 8 max sigma, max_t f_t + 8 max sigma], started from the
+    mixture's normal approximation.  Each evaluation of F moves one end of
+    its bracket; the next point is the Newton point, pushed a quarter of
+    the tolerance further so that the bracket closes from both sides, or
+    the bracket's midpoint if that point is not finite, lies outside the
+    bracket or is further from the current point than half the previous
+    bracket's width.  The iteration stops once every bracket is narrower
+    than 1e-10 * max(1, max sigma) (or than the float spacing of its
+    ends).  It runs at most twice the bisection count for that tolerance,
+    and bisects once the iterations left only suffice for bisection, so
+    every bracket meets it.  The lower endpoint is the final bracket's left
+    end and the upper its right end, so the interval holds the exact
+    quantile interval, jumps of F included, and is wider by less than the
+    tolerance at each end.  If every sigma is below 1e-12 the endpoints are
+    empirical quantiles of the curves.  Returns (mean, lower, upper).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -251,21 +262,43 @@ def predict(draws: PosteriorDraws, xnew, level=0.95):
     T, G = f.shape
     sig_max = float(np.max(sig))
     tol = 1e-10 * max(1.0, sig_max)
-    scale = np.maximum(sig, 1e-300)[:, None, None]
+    smooth = sig > 0
+    scale = sig[smooth][:, None, None]
     target = np.array([[alpha], [1.0 - alpha]])  # (2, 1): lower, upper
+    # normal approximation to the mixture's quantiles, the starting points
+    spread = special.ndtri(1.0 - alpha) * np.array([[-1.0], [1.0]])
+    sd = np.sqrt(f.var(axis=0) + np.mean(sig**2))
     ends = np.empty((2, G))
     step = max(1, BATCH_ELEMENTS // (2 * T))
     for a in range(0, G, step):
         fc = f[:, None, a:a + step]              # (T, 1, g)
+        fs, fz = fc[smooth], fc[~smooth]
         left = np.repeat(fc.min(axis=0) - 8.0 * sig_max, 2, axis=0)
         right = np.repeat(fc.max(axis=0) + 8.0 * sig_max, 2, axis=0)
         # the CDF is below target at left and reaches it at right
-        width = float(np.max(right - left))
-        for _ in range(max(0, math.ceil(math.log2(width / tol)))):
-            mid = 0.5 * (left + right)
-            below = special.ndtr((mid - fc) / scale).mean(axis=0) < target
-            left = np.where(below, mid, left)
-            right = np.where(below, right, mid)
+        cap = 2 * max(0, math.ceil(math.log2(float(np.max(right - left)) / tol)))
+        x = np.clip(mean[a:a + step] + spread * sd[a:a + step], left, right)
+        with np.errstate(all="ignore"):          # tails: inf z, zero density
+            for it in range(cap):
+                z = (x - fs) / scale
+                cdf = (special.ndtr(z).sum(axis=0) + (fz <= x).sum(axis=0)) / T
+                dens = (np.exp(-0.5 * z * z) / scale).sum(axis=0) / (T * _SQRT_2PI)
+                below = cdf < target
+                old_width = right - left
+                left = np.where(below, x, left)
+                right = np.where(below, right, x)
+                width = right - left
+                spacing = np.spacing(np.maximum(np.abs(left), np.abs(right)))
+                if np.all((width <= tol) | (width <= spacing)):
+                    break
+                # overshoot by tol / 4 so that the bracket closes from both sides
+                newton = x - (cdf - target) / dens + np.where(below, tol, -tol) / 4.0
+                # a Newton point that fails to shrink the bracket must leave
+                # enough iterations to bisect it below tol
+                budget = cap - it - 2 >= np.log2(width / tol)
+                take = (np.isfinite(newton) & (left < newton) & (newton < right)
+                        & (np.abs(newton - x) <= 0.5 * old_width) & budget)
+                x = np.where(take, newton, 0.5 * (left + right))
         ends[0, a:a + step] = left[0]
         ends[1, a:a + step] = right[1]
     return mean, ends[0], ends[1]

@@ -122,6 +122,28 @@ def test_contains_block_closures():
     assert not grid.contains(shifted)
 
 
+def test_contains_keeps_the_rebuilt_closures_answers():
+    # the cached closure against the bounds rebuilt from the block centers,
+    # with centers at, one ulp inside and one ulp beyond each bound
+    for K, p in [(1, 1), (3, 1), (16, 1), (4, 2), (2, 3)]:
+        grid = PartitionGrid(K, p)
+        half = 0.5 / K
+        lo = grid.block_centers - half - 1e-12
+        hi = grid.block_centers + half + 1e-12
+        np.testing.assert_array_equal(grid.closure[0], lo)
+        np.testing.assert_array_equal(grid.closure[1], hi)
+        assert not any(b.flags.writeable for b in grid.closure)
+        for bound in (lo, hi):
+            for toward in (-np.inf, np.inf):
+                for b in range(grid.n_blocks):
+                    mu = grid.block_centers.copy()
+                    mu[b] = np.nextafter(bound[b], toward)
+                    inside = bool(np.all(mu >= lo) and np.all(mu <= hi))
+                    assert grid.contains(mu) == inside
+                    mu[b] = bound[b]
+                    assert grid.contains(mu)
+
+
 def test_check_points_rejects_out_of_domain():
     with pytest.raises(ValueError):
         _check_points(np.array([0.5, 1.2]), 1)

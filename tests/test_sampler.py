@@ -183,7 +183,7 @@ def test_caches_stay_consistent_through_moves(rng, p, kernel):
     _check_caches(state)
     # the widest support the prior allows: Kh = h_hi and every center on
     # the edge of its block's closure
-    lo, hi = state.params.grid.closure()
+    lo, hi = state.params.grid.closure
     state.params.mu[:] = np.where(rng.uniform(size=lo.shape) < 0.5, lo, hi)
     state.params.h = prior.h_hi / K
     state.refresh()

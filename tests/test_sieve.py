@@ -55,9 +55,9 @@ def _kkt_residual_loop(psi, r, xi, B, d):
         if d[j] == 0.0:
             continue
         if xi[j] >= B - 1e-14:
-            res = max(res, max(0.0, -g[j]) if g[j] < 0 else 0.0)
-        elif xi[j] <= -B + 1e-14:
             res = max(res, max(0.0, g[j]))
+        elif xi[j] <= -B + 1e-14:
+            res = max(res, max(0.0, -g[j]))
         else:
             res = max(res, abs(g[j]))
     return res
@@ -77,6 +77,24 @@ def test_kkt_residual_matches_the_coordinate_loop(B):
                        rng.uniform(-B, B, ncoef))
         args = (psi, rng.normal(size=n), xi, B, np.einsum("ij,ij->j", psi, psi))
         assert sieve._kkt_residual(*args) == _kkt_residual_loop(*args)
+
+
+def test_kkt_residual_signs_at_active_bounds():
+    # psi = I: xi_0 at +B and xi_1 at -B, with g = -(y - xi)
+    psi, B = np.eye(2), 1.0
+    d = np.ones(2)
+    xi = np.array([B, -B])
+    # y beyond the box on each bound's own side: the bounds hold with
+    # correct-sign multipliers, so xi is optimal and the residual reads 0
+    y = np.array([3.0, -3.0])
+    assert sieve._kkt_residual(psi, y - psi @ xi, xi, B, d) == 0.0
+    np.testing.assert_array_equal(solve_xi_box(y, psi, B), xi)
+    # y on the far side: the gradient points back into the box at both
+    # bounds, and the residual reads its size
+    y = np.array([-3.0, 3.0])
+    assert sieve._kkt_residual(psi, y - psi @ xi, xi, B, d) == 4.0
+    y = np.array([3.0, 0.5])      # only the lower bound is violated, by 1.5
+    assert sieve._kkt_residual(psi, y - psi @ xi, xi, B, d) == 1.5
 
 
 # ---------------------------------------------------------------- K rule

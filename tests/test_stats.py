@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from kmpoly._stats import (invgamma_cdf, invgamma_logpdf, reflect,
                            trunc_invgamma_sample, truncnorm_logpdf,
@@ -96,9 +96,56 @@ def test_invgamma_cdf_matches_scipy():
     xs = np.array([1e-3, 0.1, 1.0, 7.0])
     for shape, scale in [(1.0, 1.0), (3.5, 0.4)]:
         np.testing.assert_allclose(
-            invgamma_cdf(xs, shape, scale),
+            [invgamma_cdf(x, shape, scale) for x in xs],
             stats.invgamma(shape, scale=scale).cdf(xs), rtol=1e-10)
-    assert invgamma_cdf(np.array(0.0), 2.0, 1.0) == 0.0
+    assert invgamma_cdf(0.0, 2.0, 1.0) == 0.0
+
+
+def _invgamma_cdf_array(x, shape, scale):
+    # the array form the scalar invgamma_cdf replaced, kept as its reference
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0, special.gammaincc(shape, scale / np.maximum(x, 1e-300)), 0.0)
+
+
+_EDGE_X = [-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 3e-300, 1e-12, 0.04,
+           0.3, 1.0, 2.5, 1e6, 1e300, 1.7976931348623157e308, np.inf, np.nan]
+
+
+def test_invgamma_cdf_scalar_keeps_the_array_forms_bits():
+    # x <= 0, subnormal x (where the 1e-300 guard binds), huge x and a
+    # scale / x that overflows
+    with np.errstate(over="ignore"):
+        for shape, scale in [(1.0, 1.0), (2.5, 0.04), (0.5, 1e-300), (1e3, 1e10)]:
+            for x in _EDGE_X:
+                new = invgamma_cdf(x, shape, scale)
+                assert type(new) is float
+                old = _invgamma_cdf_array(x, shape, scale)
+                assert np.float64(new).tobytes() == old.tobytes(), (x, shape, scale)
+
+
+def _trunc_invgamma_sample_array(rng, shape, scale, lo, hi):
+    # trunc_invgamma_sample on the array form of the CDF
+    flo = float(_invgamma_cdf_array(lo, shape, scale))
+    fhi = float(_invgamma_cdf_array(hi, shape, scale))
+    if fhi - flo <= 0.0:
+        return float(lo) if flo >= 1.0 else float(hi)
+    u = flo + rng.random() * (fhi - flo)
+    u = min(max(u, 1e-300), 1 - 1e-16)
+    return float(min(max(scale / special.gammainccinv(shape, u), lo), hi))
+
+
+def test_trunc_invgamma_sample_keeps_the_array_forms_draws():
+    # boxes at zero, around a subnormal, in each tail and far beyond the mass
+    boxes = [(0.0, 1.0), (1e-310, 1e-3), (0.01, 0.09), (0.2, 3.0), (4.0, 1e300),
+             (5.0, 6.0), (1e-300, 1e-299)]
+    for shape, scale in [(1.0, 1.0), (2.5, 0.04), (200.0, 1.0)]:
+        for lo, hi in boxes:
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(50):
+                new = trunc_invgamma_sample(a, shape, scale, lo, hi)
+                old = _trunc_invgamma_sample_array(b, shape, scale, lo, hi)
+                assert np.float64(new).tobytes() == np.float64(old).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_invgamma_logpdf_matches_scipy():

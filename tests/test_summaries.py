@@ -181,17 +181,8 @@ def _mixture_cdf(y, means, sigmas):
     return np.mean(np.where(sigmas > 0, smooth, step), axis=-1)
 
 
-@given(st.lists(st.tuples(st.floats(-5.0, 5.0),
-                          st.one_of(st.just(0.0), st.floats(1e-3, 3.0))),
-                min_size=1, max_size=20),
-       st.floats(0.5, 0.99))
-# the mean lies between two jumps less than tol apart; the midpoint of the
-# final bisection bracket stops 2.9e-11 below it, the bracket's right end not
-@example([(-3.5105205960698944e-237, 0.0), (-1.1262945745046494e-251, 0.0),
-          (0.0, 1.0)], 0.5)
-@settings(max_examples=150, deadline=None)
-def test_predict_inverts_the_mixture_cdf(components, level):
-    means = np.array([c[0] for c in components])
+def _assert_predict_inverts(components, level):
+    means = np.array([float(c[0]) for c in components])
     sigmas = np.array([c[1] for c in components])
     if not np.any(sigmas > 0):
         sigmas[0] = 0.5    # all-zero sigma takes the empirical-quantile branch
@@ -217,6 +208,108 @@ def test_predict_inverts_the_mixture_cdf(components, level):
     f_mean = _mixture_cdf(mean[0], means, sigmas)
     if alpha + 1e-9 < f_mean < 1.0 - alpha - 1e-9:
         assert lo[0] <= mean[0] <= hi[0]
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                          st.one_of(st.just(0.0), st.floats(1e-3, 3.0))),
+                min_size=1, max_size=20),
+       st.floats(0.5, 0.99))
+# the mean lies between two jumps less than tol apart; the midpoint of a
+# final bracket around the upper jump can fall 2.9e-11 below it, its right
+# end not
+@example([(-3.5105205960698944e-237, 0.0), (-1.1262945745046494e-251, 0.0),
+          (0.0, 1.0)], 0.5)
+# a zero-sigma draw exactly at an evaluated point is a whole step of the
+# CDF, not half of one: F(-1) = 1/3 > alpha, so -1 is no lower end
+@example([(-3.0, 0.5), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 0.0),
+          (-1.0, 0.0)], 0.5)
+@settings(max_examples=150, deadline=None)
+def test_predict_inverts_the_mixture_cdf(components, level):
+    _assert_predict_inverts(components, level)
+
+
+# integer means and mostly zero sigmas: the steps of the CDF tie with each
+# other, with the normal components' centers and with the evaluated points
+@given(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([0.0, 0.0, 0.5, 1.0])),
+                min_size=1, max_size=20),
+       st.sampled_from([0.5, 0.6, 0.8, 0.9, 0.95]))
+@settings(max_examples=400, deadline=None)
+def test_predict_inverts_a_mixture_of_tied_steps(components, level):
+    _assert_predict_inverts(components, level)
+
+
+class _CountingSpecial:
+    """``scipy.special`` with its ``ndtr`` calls counted."""
+
+    def __init__(self):
+        self.ndtr_calls = 0
+
+    def ndtr(self, z):
+        self.ndtr_calls += 1
+        return special.ndtr(z)
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+
+def _count_predict_evaluations(monkeypatch, values, sigmas):
+    """predict's ends at len(values[0]) points and its CDF evaluations."""
+    draws = _const_draws(values[:, 0], sigmas)
+    monkeypatch.setattr(draws, "curves", lambda grid: values[:, :len(grid)])
+    counter = _CountingSpecial()
+    monkeypatch.setattr(summaries, "special", counter)
+    out = predict(draws, np.linspace(0.05, 0.95, values.shape[1]))
+    return out, counter.ndtr_calls
+
+
+def test_predict_newton_takes_few_evaluations_on_a_smooth_mixture(rng, monkeypatch):
+    # shaped like a 1000-draw posterior predictive at 50 points: curves
+    # spread by about 0.03 around a smooth truth, sigma about 0.3
+    x = np.linspace(0.05, 0.95, 50)
+    values = np.sin(2.0 * np.pi * x) + x + 0.03 * rng.standard_normal((1000, 50))
+    sigmas = rng.uniform(0.27, 0.34, 1000)
+    (mean, lo, hi), calls = _count_predict_evaluations(monkeypatch, values, sigmas)
+    batches = -(-50 // max(1, summaries.BATCH_ELEMENTS // (2 * 1000)))
+    # bisection from the 8-sigma bracket to 1e-10 takes 36 per batch
+    assert calls <= 8 * batches
+    assert np.all(lo < mean) and np.all(mean < hi)
+
+
+def test_predict_newton_keeps_the_cap_on_a_mixture_of_steps(rng, monkeypatch):
+    values = rng.normal(size=(1000, 50))
+    sigmas = np.zeros(1000)
+    sigmas[0] = 0.3                              # one smooth component
+    (mean, lo, hi), calls = _count_predict_evaluations(monkeypatch, values, sigmas)
+    step = max(1, summaries.BATCH_ELEMENTS // (2 * 1000))
+    tol = 1e-10
+    cap = 0
+    for a in range(0, 50, step):
+        width = np.ptp(values[:, a:a + step], axis=0).max() + 16.0 * 0.3
+        cap += 2 * int(np.ceil(np.log2(width / tol)))
+    assert calls <= cap
+    alpha = 0.025          # 25 of the 1000 steps: the ends sit on jumps
+    slack = 1e-12          # rounding of the averaged CDF
+    for g in range(50):
+        means = values[:, g]
+        assert _mixture_cdf(lo[g], means, sigmas) <= alpha + slack
+        assert _mixture_cdf(lo[g] + tol, means, sigmas) >= alpha - slack
+        assert _mixture_cdf(hi[g], means, sigmas) >= 1.0 - alpha - slack
+        assert _mixture_cdf(hi[g] - tol, means, sigmas) <= 1.0 - alpha + slack
+
+
+@pytest.mark.parametrize("mean, level", [(-0.0012727649876072796, 0.9999999994068001),
+                                         (0.0, 1.0 - 1e-12), (0.7, 1.0 - 1e-9)])
+def test_predict_brackets_meet_tol_at_extreme_levels(mean, level):
+    # near 1 - alpha the computed CDF of one N(mean, 0.25) draw is a
+    # staircase of ulps, flat over far more than tol, where Newton steps
+    # barely move; the iteration must still close every bracket to tol
+    draws = _const_draws([mean], sigmas=[0.5])
+    _, lo, hi = predict(draws, np.array([0.5]), level)
+    f = draws.curves(np.array([0.5]))[0, 0]
+    cdf = lambda y: special.ndtr((y - f) / 0.5)
+    alpha, tol = (1.0 - level) / 2.0, 1e-10
+    assert cdf(lo[0]) < alpha <= cdf(lo[0] + tol)
+    assert cdf(hi[0] - tol) < 1.0 - alpha <= cdf(hi[0])
 
 
 def test_predict_point_batches_agree(rng, monkeypatch):
