@@ -53,17 +53,6 @@ def truncnorm_ppf(u, mean, sd, lo, hi):
     return float(min(max(x, lo), hi))
 
 
-def truncnorm_logpdf(x, mean, sd, lo, hi):
-    """Log density of the truncated normal at x (-inf outside [lo, hi])."""
-    if x < lo or x > hi:
-        return -np.inf
-    a = (lo - mean) / sd
-    b = (hi - mean) / sd
-    mass = special.ndtr(b) - special.ndtr(a)
-    z = (x - mean) / sd
-    return -0.5 * z * z - 0.5 * math.log(2 * math.pi) - math.log(sd) - math.log(mass)
-
-
 def invgamma_cdf(x, shape, scale):
     """CDF at a float x of the inverse-gamma(shape, scale) distribution
     (density proportional to x^{-shape-1} exp(-scale/x))."""

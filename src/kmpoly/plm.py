@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .priors import PriorConfig
-from .sampler import McmcConfig, PosteriorDraws, _initial_state, _run_sweeps
+from .sampler import (McmcConfig, PosteriorDraws, _in_x_order, _initial_state,
+                      _run_sweeps)
 # not called here, but perfbench/spans.py wraps the sweep steps under these
 # names in this module as well
 from .sampler import gibbs_sigma, gibbs_xi, mh_h, mh_mu  # noqa: F401
@@ -66,9 +67,11 @@ def run_plm_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
     conditional, then runs the standard eta steps against the residuals
     y - Z beta.  With ``estimate_sigma`` false, sigma stays fixed at one.
     PLM chains never adapt their step sizes: ``cfg.adapt`` is ignored.
+    Like :func:`run_chain`, it takes the rows in x order.
     """
     if data.z is None:
         raise ValueError("partial linear model needs z covariates")
+    data = _in_x_order(data)
     rng = np.random.default_rng(cfg.seed)
     tau = prior.tau_beta
     # the prior's normalizing constant is the same for every draw

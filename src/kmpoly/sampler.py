@@ -16,13 +16,17 @@ draws up front, in the order a per-block, per-coordinate loop would take
 them: ``gibbs_xi`` one uniform per coefficient, ``mh_mu`` a normal and an
 accept uniform per block.  The generator stream, and so every draw, is the
 same as that loop's, while the kernel work of a step runs in one batch.
+
+The likelihood is a sum over rows, so chains take the design in x order
+(:func:`_in_x_order`): in 1-D a kernel's support is then a run of rows,
+which a block step reads and writes through a slice, not an index array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +67,22 @@ def loglik(params: KmpParams, data) -> float:
     return _loglik_resid(r, params.sigma)
 
 
+def _in_x_order(data):
+    """``data`` with its rows in stable order of the first coordinate: x, y
+    and z (if any) move together and every other field is kept."""
+    order = np.argsort(data.x[:, 0], kind="stable")
+    z = None if data.z is None else data.z[order]
+    return replace(data, x=data.x[order], y=data.y[order], z=z)
+
+
+def _as_run(rows):
+    """Sorted distinct row indices as a slice if they are one run of
+    consecutive rows, otherwise as they are."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 def _loglik_resid(r, sigma):
     n = r.shape[0]
     return float(-0.5 * n * math.log(2 * math.pi * sigma**2)
@@ -84,6 +104,11 @@ class ChainState:
     design point it keeps the kernel row sum S and the residual resid.  A
     center move touches only its block's pairs, and nothing here ever
     factorizes an n-by-n matrix.
+
+    ``block_rows[k]`` indexes block k's design rows in the per-point arrays:
+    a slice if they are one run, as every nonempty block of a 1-D design
+    in x order is, else the index array ``rows[offsets[k]:offsets[k + 1]]``.
+    Row order changes no term of the likelihood, only floating-point sums.
     """
 
     def __init__(self, params: KmpParams, data, prior: PriorConfig):
@@ -97,8 +122,10 @@ class ChainState:
         # [h_lo, h_hi]), and a center stays in its block's closure
         kh = max(prior.h_hi, grid.K * params.h)
         self.blk, self.rows = support_pairs(grid, self._x, (0.5 + kh) / grid.K)
-        self.offsets = np.searchsorted(
+        off = self.offsets = np.searchsorted(
             self.blk, np.arange(grid.n_blocks + 1)).tolist()
+        self.block_rows = [_as_run(self.rows[off[k]:off[k + 1]])
+                           for k in range(grid.n_blocks)]
         self._xp = self._x[self.rows]
         mono = monomial_tensor(grid, params.m, self._x)[self.rows, self.blk]
         self.mono = np.ascontiguousarray(mono.T)            # (n_s, pairs)
@@ -168,7 +195,7 @@ def gibbs_xi(state: ChainState, rng) -> ChainState:
     u = iter(rng.random(xi.size).tolist())
     for k in range(xi.shape[0]):
         a, b = off[k], off[k + 1]
-        rows = state.rows[a:b]
+        rows = state.block_rows[k]
         r = resid[rows]
         xi_k = xi[k]
         for j, col in enumerate(cols[:, a:b]):
@@ -232,7 +259,7 @@ def mh_mu(state: ChainState, rng, step: float):
     with np.errstate(divide="raise", invalid="raise"):
         for k in range(nb):
             a, b = off[k], off[k + 1]
-            rows = state.rows[a:b]
+            rows = state.block_rows[k]
             d = dphi[a:b]
             S_new = S[rows] + d
             r = resid[rows]
@@ -359,8 +386,11 @@ def run_chain(cfg: McmcConfig, prior: PriorConfig, K: int, data,
 
     ``init_params``, if given, must have the chain's K, the data's p and the
     prior's m and kernel, and lie inside the prior's bounds (B, h_lo, h_hi,
-    sigma_lo, sigma_hi); a violation raises ValueError naming it.
+    sigma_lo, sigma_hi); a violation raises ValueError naming it.  The chain
+    takes the rows in x order, so the caller's order moves the draws only
+    by rounding.
     """
+    data = _in_x_order(data)
     rng = np.random.default_rng(cfg.seed)
     if init_params is not None:
         for name, have, want in (("K", init_params.grid.K, K),

@@ -190,10 +190,10 @@ def select_K(data, prior: PriorConfig, cfg: McmcConfig, K_min=None, K_max=None):
     """One chain per K on a grid; returns (DicReport, draws at the best K).
 
     Deterministic given the base seed: the chain at K runs with seed
-    ``cfg.seed + K``.  The chains run on one worker process per available
-    CPU (at most one per K; see ``kmpoly._pool``), and the report, whose
-    ``meta["workers"]`` records that count, is bit-identical to running
-    them one after another.
+    ``cfg.seed + K``.  The chains run, largest K first, on one worker
+    process per available CPU (at most one per K; see ``kmpoly._pool``),
+    and the report, whose ``meta["workers"]`` records that count, is
+    bit-identical to running them one after another.
     """
     K_min = prior.K_min if K_min is None else K_min
     K_max = prior.K_max if K_max is None else K_max
@@ -201,8 +201,10 @@ def select_K(data, prior: PriorConfig, cfg: McmcConfig, K_min=None, K_max=None):
         raise ValueError("need K_min <= K_max")
     ks = range(K_min, K_max + 1)
     n_workers = _pool.workers(len(ks))
-    fits = _pool._map(functools.partial(_fit_one_K, data, prior, cfg), ks,
-                      n_workers)
+    # a chain costs more the larger its K: starting those first leaves
+    # the light ones to fill in at the end
+    fits = _pool._map(functools.partial(_fit_one_K, data, prior, cfg),
+                      ks[::-1], n_workers)[::-1]
     rows = []
     by_k = {}
     failures = {}

@@ -1,12 +1,15 @@
 """The process pool behind select_K and run_coverage: results match the
 serial loop bit for bit, one CPU starts no process, and pools never nest."""
 
+import ctypes
 import dataclasses
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from kmpoly import PriorConfig, ScenarioSpec, _pool, harness, summaries
 from kmpoly.sampler import McmcConfig
@@ -87,6 +90,39 @@ def test_run_coverage_matches_one_cpu(monkeypatch, K):
     for e in estimators:
         assert pool.coverage[e].tobytes() == serial.coverage[e].tobytes()
         assert pool.width[e].tobytes() == serial.width[e].tobytes()
+
+
+def _openblas(name):
+    """numpy's and scipy's OpenBLAS function ``scipy_openblas_<name>``, by
+    the names their wheels give them."""
+    fns = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        lib = next(libs.glob("*openblas*"), None)
+        symbol = f"scipy_openblas_{name}{suffix}"
+        fn = lib and getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is None:
+            pytest.skip(f"{pkg.__name__} ships no {symbol}")
+        fns.append(fn)
+    return fns
+
+
+def _blas_threads(item=None):
+    return [get() for get in _openblas("get_num_threads")]
+
+
+def test_workers_run_one_blas_thread(monkeypatch):
+    _cpus(monkeypatch, 2)
+    setters, before = _openblas("set_num_threads"), _blas_threads()
+    for set_threads in setters:
+        set_threads(2)
+    try:
+        assert _pool._map(_blas_threads, range(2)) == [[1, 1], [1, 1]]
+        assert _blas_threads() == [2, 2]              # the caller keeps its own
+    finally:
+        for set_threads, n in zip(setters, before):
+            set_threads(n)
+    assert _blas_threads() == before
 
 
 def _no_pool(monkeypatch):

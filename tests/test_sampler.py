@@ -11,8 +11,8 @@ from kmpoly import (Dataset, McmcConfig, PartitionGrid, PosteriorDraws,
                     fit_sieve_mle, log_prior_density, loglik, plm, run_chain,
                     run_plm_chain, sample_prior, sieve)
 from kmpoly._stats import reflect, truncnorm_ppf
-from kmpoly.sampler import (ChainState, _initial_state, gibbs_sigma, gibbs_xi,
-                            mh_h, mh_mu)
+from kmpoly.sampler import (ChainState, _in_x_order, _initial_state,
+                            gibbs_sigma, gibbs_xi, mh_h, mh_mu)
 
 from conftest import make_params, sine_data
 
@@ -203,6 +203,45 @@ def test_caches_with_empty_blocks(rng, x):
     assert counts[-1] == 0 and counts.sum() == state.rows.shape[0]
     _moves(state, rng)
     _check_caches(state)
+
+
+def test_sorted_1d_design_gives_every_block_a_slice(rng):
+    prior = PriorConfig()
+    data = sine_data(200, seed=4)
+    params = sample_prior(prior, 8, rng)
+    state = _state(params, _in_x_order(data), prior)
+    off = state.offsets
+    for k, rows in enumerate(state.block_rows):
+        assert isinstance(rows, slice)
+        np.testing.assert_array_equal(np.arange(data.n)[rows],
+                                      state.rows[off[k]:off[k + 1]])
+    # in the caller's random order no block's rows form a run
+    state = _state(params, data, prior)
+    assert all(isinstance(rows, np.ndarray) for rows in state.block_rows)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_caches_do_not_drift_over_many_sweeps(p):
+    # 50 sweeps of in-place updates, through slices (a 1-D design in x
+    # order) or mostly index arrays (p = 2), against a fresh refresh();
+    # no bandwidth move, as an accepted one recomputes every cache
+    prior = PriorConfig(m=2 if p == 1 else 1)
+    rng = np.random.default_rng(30 + p)
+    data = _in_x_order(_oracle_data(p, 0, seed=30 + p))
+    state = _state(sample_prior(prior, 6 if p == 1 else 4, rng, p=p), data, prior)
+    kinds = {type(rows) for rows in state.block_rows}
+    assert kinds == ({slice} if p == 1 else {slice, np.ndarray})
+    accepted = 0
+    for _ in range(50):
+        gibbs_xi(state, rng)
+        accepted += mh_mu(state, rng, 0.3)[1]
+    assert 0 < accepted < 50 * state.params.grid.n_blocks
+    cached = {k: getattr(state, k).copy() for k in ("resid", "S", "poly")}
+    state.refresh()
+    for name, value in cached.items():
+        fresh = getattr(state, name)
+        np.testing.assert_allclose(value, fresh, rtol=0,
+                                   atol=1e-10 * np.abs(fresh).max(), err_msg=name)
 
 
 def test_poly_cache_after_lsq_start_plm_pre_step_and_sieve(monkeypatch):
@@ -574,3 +613,42 @@ def test_stored_scores_match_full_recomputation(p, model):
         assert draws.loglik[t] == pytest.approx(ll, rel=1e-9)
         expect = draws.loglik[t] + log_prior_density(prior, d) + beta_lp
         assert draws.logpost[t] == pytest.approx(expect, rel=1e-9)
+
+
+# ---------------------------------------------------------------- row order
+
+def test_in_x_order_moves_rows_together_and_keeps_fields():
+    x = np.array([[0.7, 0.1], [0.2, 0.9], [0.7, 0.3], [0.0, 0.5]])
+    data = Dataset(x, np.arange(4.0), z=np.arange(8.0).reshape(4, 2),
+                   x_names=["a", "b"], z_names=["c", "d"], y_name="w", note="n")
+    out = _in_x_order(data)
+    order = [3, 1, 0, 2]                 # ties keep their order
+    np.testing.assert_array_equal(out.x, x[order])
+    np.testing.assert_array_equal(out.y, data.y[order])
+    np.testing.assert_array_equal(out.z, data.z[order])
+    assert (out.x_names, out.z_names, out.y_name, out.note) == (
+        ["a", "b"], ["c", "d"], "w", "n")
+    assert _in_x_order(Dataset(x, data.y)).z is None
+
+
+@pytest.mark.parametrize("model", ["chain", "plm"])
+def test_row_order_moves_draws_only_through_rounding(model):
+    # a chain takes the design in x order, so a shuffled copy of the data
+    # makes the same accept decisions and differs only in rounding
+    data = _oracle_data(1, 2 if model == "plm" else 0, seed=40)
+    perm = np.random.default_rng(41).permutation(data.n)
+    shuffled = Dataset(data.x[perm], data.y[perm],
+                       z=None if data.z is None else data.z[perm])
+    cfg = McmcConfig(burnin=100, samples=100, seed=42, init="lsq")
+    if model == "chain":
+        a, b = (run_chain(cfg, PriorConfig(), 5, d) for d in (data, shuffled))
+    else:
+        a, b = (run_plm_chain(cfg, PriorConfig(), 5, d, estimate_sigma=True)
+                for d in (data, shuffled))
+    assert a.accept == b.accept
+    np.testing.assert_array_equal(a.h, b.h)
+    np.testing.assert_array_equal(a.mu, b.mu)
+    for name in ("xi", "sigma", "loglik", "logpost", "beta"):
+        if getattr(a, name) is not None:
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                       rtol=1e-10, atol=1e-10, err_msg=name)

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from kmpoly._stats import (invgamma_cdf, invgamma_logpdf, reflect,
-                           trunc_invgamma_sample, truncnorm_logpdf,
-                           truncnorm_ppf)
+                           trunc_invgamma_sample, truncnorm_ppf)
 
 
 def test_reflect_identity_inside():
@@ -80,16 +79,6 @@ def test_truncnorm_ppf_stays_in_the_box_of_a_very_wide_normal():
     for mean, sd in [(-3.9e17, 2.8e17), (4e18, 3e18), (1e17, 1e16)]:
         draws = [truncnorm_ppf(u, mean, sd, -50.0, 50.0) for u in rng.random(500)]
         assert np.all(np.abs(draws) <= 50.0)
-
-
-def test_truncnorm_logpdf_matches_scipy():
-    mean, sd, lo, hi = 0.2, 2.0, -1.0, 3.0
-    a, b = (lo - mean) / sd, (hi - mean) / sd
-    ref = stats.truncnorm(a, b, loc=mean, scale=sd)
-    for x in [-0.9, 0.0, 1.7, 2.99]:
-        assert truncnorm_logpdf(x, mean, sd, lo, hi) == pytest.approx(
-            ref.logpdf(x), rel=1e-10)
-    assert truncnorm_logpdf(3.5, mean, sd, lo, hi) == -np.inf
 
 
 def test_invgamma_cdf_matches_scipy():
