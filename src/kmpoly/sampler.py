@@ -96,14 +96,15 @@ class ChainState:
     center stays in the closure of its block, so design point i can lie in
     kernel k's support only if it is within (1/2 + h_hi) / K of block k's
     fixed center.  The constructor lists those (point, block) pairs once,
-    sorted by block (block k owns pairs ``offsets[k]:offsets[k + 1]``, at
-    design rows ``rows`` and blocks ``blk``), and every cache lives on them:
-    the sup-distances to the centers (dist), the kernel values (phi), the
-    centered monomials (mono, (n_s, pairs), fixed by the design) and the
-    block polynomials there (poly, xi_k . mono on block k's pairs).  Per
-    design point it keeps the kernel row sum S and the residual resid.  A
-    center move touches only its block's pairs, and nothing here ever
-    factorizes an n-by-n matrix.
+    sorted by block (block k owns pairs ``offsets[k]:offsets[k + 1]``,
+    ``counts[k]`` of them, at design rows ``rows`` and blocks ``blk``; a
+    per-block array reaches the pairs by ``np.repeat`` with ``counts``),
+    and every cache lives on them: the sup-distances to the centers (dist),
+    the kernel values (phi), the centered monomials (mono, (n_s, pairs),
+    fixed by the design) and the block polynomials there (poly,
+    xi_k . mono on block k's pairs).  Per design point it keeps the kernel
+    row sum S and the residual resid.  A center move touches only its
+    block's pairs, and nothing here ever factorizes an n-by-n matrix.
 
     ``block_rows[k]`` indexes block k's design rows in the per-point arrays:
     a slice if they are one run, as every nonempty block of a 1-D design
@@ -124,6 +125,7 @@ class ChainState:
         self.blk, self.rows = support_pairs(grid, self._x, (0.5 + kh) / grid.K)
         off = self.offsets = np.searchsorted(
             self.blk, np.arange(grid.n_blocks + 1)).tolist()
+        self.counts = np.diff(off)
         self.block_rows = [_as_run(self.rows[off[k]:off[k + 1]])
                            for k in range(grid.n_blocks)]
         self._xp = self._x[self.rows]
@@ -156,7 +158,8 @@ class ChainState:
 
     def refresh(self):
         """Recompute every cache from the current parameters."""
-        self.dist = sup_dist(self._xp, self.params.mu[self.blk])
+        self.dist = sup_dist(self._xp,
+                             np.repeat(self.params.mu, self.counts, axis=0))
         self.poly = self._poly()
         self.phi, self.S, self.resid = self.at_bandwidth(self.params.h)
 
@@ -247,7 +250,7 @@ def mh_mu(state: ChainState, rng, step: float):
     centers = grid.block_centers
     prop = reflect(2.0 * K * (params.mu - centers) + step * z, -1.0, 1.0)
     new_mu = centers + prop / (2.0 * K)
-    dist = sup_dist(state._xp, new_mu[state.blk])
+    dist = sup_dist(state._xp, np.repeat(new_mu, state.counts, axis=0))
     phi_new = params.spec.profile(dist / params.h)
     dphi = phi_new - state.phi
     y, S, resid, poly = state.data.y, state.S, state.resid, state.poly
@@ -268,7 +271,7 @@ def mh_mu(state: ChainState, rng, step: float):
                 S[rows] = S_new
                 resid[rows] = r_new
                 accept[k] = True
-    on = accept[state.blk]
+    on = np.repeat(accept, state.counts)
     np.copyto(state.phi, phi_new, where=on)
     np.copyto(state.dist, dist, where=on)
     np.copyto(params.mu, new_mu, where=accept[:, None])

@@ -5,6 +5,8 @@ With the noise scale fixed, maximizing the Gaussian log-likelihood equals
 minimizing the residual sum of squares, so the inner coefficient problem is
 a convex box-constrained least-squares solve; the kernel centers and the
 bandwidth are low-dimensional and handled by grid/golden-section searches.
+Where the box binds, that solve runs on the QR factor of [basis | y], so
+its active-set work does not grow with n (:func:`solve_xi_box`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,16 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
     when it already satisfies the box.  Otherwise an active-set bounded
     least-squares solve is polished by projected coordinate descent with
     exact coordinate minimizers until the KKT residual of every coordinate
-    is below tol times the problem scale.
+    is below tol times the problem scale (from the caller's y).
+
+    Both run on the triangular factor R = [A | b] of the QR decomposition
+    of [psi | y], which has min(n, ncoef + 1) rows however large n is.  Q is
+    orthogonal, so ||y - psi xi||^2 = ||b - A xi||^2 (where n > ncoef, A's
+    last row is zero and b's last entry adds only a constant): the
+    minimizer, the gradient psi'(y - psi xi) = A'(b - A xi) and with them
+    the KKT test are those of the original problem.  Householder
+    reflections map a zero column to a zero column, so A's zero columns
+    are psi's.
     """
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -41,29 +52,31 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
     ls, *_ = np.linalg.lstsq(psi, y, rcond=None)
     if np.max(np.abs(ls)) <= B:
         return ls
-    d = np.einsum("ij,ij->j", psi, psi)
+    scale = max(float(y @ y), 1.0)
+    ra = np.linalg.qr(np.column_stack([psi, y]), mode="r")
+    A, b = ra[:, :ncoef], ra[:, ncoef]
+    d = np.einsum("ij,ij->j", A, A)
     live = d > 0.0
     if np.all(live):
-        res = optimize.lsq_linear(psi, y, bounds=(-B, B), method="bvls")
+        res = optimize.lsq_linear(A, b, bounds=(-B, B), method="bvls")
         xi = np.clip(res.x, -B, B)
     else:
         xi = np.clip(ls, -B, B)
         xi[~live] = 0.0
-    r = y - psi @ xi
-    scale = max(float(y @ y), 1.0)
+    r = b - A @ xi
     for _ in range(max_sweeps):
         delta = 0.0
         for j in range(ncoef):
             if d[j] == 0.0:
                 continue
             old = xi[j]
-            new = (float(psi[:, j] @ r) + d[j] * old) / d[j]
+            new = (float(A[:, j] @ r) + d[j] * old) / d[j]
             new = min(max(new, -B), B)
             if new != old:
-                r -= psi[:, j] * (new - old)
+                r -= A[:, j] * (new - old)
                 xi[j] = new
                 delta = max(delta, abs(new - old))
-        if delta == 0.0 or _kkt_residual(psi, r, xi, B, d) <= tol * scale:
+        if delta == 0.0 or _kkt_residual(A, r, xi, B, d) <= tol * scale:
             break
     return xi
 

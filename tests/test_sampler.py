@@ -354,20 +354,49 @@ def _mh_mu_per_block(state, rng, step):
 @pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
 @pytest.mark.parametrize("xi_dist", ["truncnorm", "uniform"])
 def test_batched_steps_draw_like_the_per_block_loops(p, kernel, xi_dist):
-    # no draw depends on the state, so the batched steps must leave the
-    # generator, the parameters and every cache byte-equal to loops that
-    # draw each number when they need it.  The points fill only the lower
-    # corner of the cube, so the upper blocks hold no pair (under the flat
-    # prior their coefficients take the fallback prior draw); steps of 0.8
-    # on mu-tilde in [-1, 1] and 0.5 on Kh in [1.2, 2] reflect often.
+    # the points fill only the lower corner of the cube, so the upper
+    # blocks hold no pair
     rng = np.random.default_rng(10 * p + len(kernel) + len(xi_dist))
     K, top = (8, 0.3) if p == 1 else (4, 0.25)
     x = rng.uniform(0.0, top, (40, p))
+    state = _batched_against_loops(rng, x, K, kernel, xi_dist)
+    assert state.counts[-1] == 0
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("xi_dist", ["truncnorm", "uniform"])
+def test_batched_steps_draw_like_the_loops_past_an_empty_interior_block(p, xi_dist):
+    # the points leave out a band that holds one block's whole reach at
+    # Kh <= 2, so its zero count sits between nonempty blocks' counts
+    rng = np.random.default_rng(50 + p + len(xi_dist))
+    if p == 1:
+        # block 4 of 8 reaches (0.25, 0.875)
+        K, x = 8, np.concatenate([rng.uniform(0.0, 0.24, (20, 1)),
+                                  rng.uniform(0.885, 1.0, (20, 1))])
+    else:
+        # block (0, 3) of 4 x 4 reaches x1 < 0.75 and x2 > 0.25
+        K, x = 4, np.concatenate([rng.uniform(0.0, 1.0, (20, 2)) * [1.0, 0.24],
+                                  rng.uniform(0.8, 1.0, (20, 2))])
+    state = _batched_against_loops(rng, x, K, "bump", xi_dist)
+    counts = state.counts
+    assert counts[0] > 0 and counts[-1] > 0 and np.count_nonzero(counts == 0) == 1
+
+
+def _batched_against_loops(rng, x, K, kernel, xi_dist):
+    """Run the batched steps and the per-block reference loops side by side
+    on data at x; returns the batched state.
+
+    No draw depends on the state, so the batched steps must leave the
+    generator, the parameters and every cache byte-equal to loops that
+    draw each number when they need it.  Blocks without pairs take the
+    fallback prior draw under the flat prior; steps of 0.8 on mu-tilde in
+    [-1, 1] and 0.5 on Kh in [1.2, 2] reflect often.
+    """
+    p = x.shape[1]
     data = Dataset(x, np.sin(20.0 * x[:, 0]) + 0.1 * rng.standard_normal(40))
     prior = PriorConfig(kernel=kernel, m=2 if p == 1 else 1, xi_dist=xi_dist)
     start = sample_prior(prior, K, rng, p=p)
     batched, looped = (ChainState(start.copy(), data, prior) for _ in range(2))
-    assert np.diff(batched.offsets)[-1] == 0
     rb, rl = np.random.default_rng(7), np.random.default_rng(7)
     accepted = 0
     for _ in range(6):
@@ -397,6 +426,7 @@ def test_batched_steps_draw_like_the_per_block_loops(p, kernel, xi_dist):
     for name in ("h", "mu", "xi", "sigma"):
         _same_bits(getattr(batched.params, name), getattr(looped.params, name), name)
     _check_caches(batched)
+    return batched
 
 
 # ---------------------------------------------------------------- gibbs_xi

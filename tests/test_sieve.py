@@ -15,9 +15,9 @@ from conftest import make_params, sine_data
 def test_box_solver_unconstrained_equals_lstsq(rng):
     psi = rng.normal(size=(40, 6))
     y = rng.normal(size=40)
-    xi = solve_xi_box(y, psi, B=1e6)
-    ref, *_ = np.linalg.lstsq(psi, y, rcond=None)
-    np.testing.assert_allclose(xi, ref, atol=1e-8)
+    # the early return hands back lstsq's solution itself
+    np.testing.assert_array_equal(solve_xi_box(y, psi, B=1e6),
+                                  np.linalg.lstsq(psi, y, rcond=None)[0])
 
 
 def test_box_solver_degenerate_box():
@@ -45,6 +45,82 @@ def test_box_solver_handles_zero_columns(rng):
     psi[:, 2] = 0.0
     xi = solve_xi_box(rng.normal(size=20), psi, B=5.0)
     assert xi[2] == 0.0
+
+
+def _solve_xi_box_dense(y, psi, B, tol=1e-10, max_sweeps=200):
+    # reference: solve_xi_box with the active set and the polish run on the
+    # dense n-row basis instead of the triangular factor of [psi | y]
+    ncoef = psi.shape[1]
+    xi = np.zeros(ncoef)
+    if B == 0:
+        return xi
+    ls, *_ = np.linalg.lstsq(psi, y, rcond=None)
+    if np.max(np.abs(ls)) <= B:
+        return ls
+    d = np.einsum("ij,ij->j", psi, psi)
+    live = d > 0.0
+    if np.all(live):
+        res = lsq_linear(psi, y, bounds=(-B, B), method="bvls")
+        xi = np.clip(res.x, -B, B)
+    else:
+        xi = np.clip(ls, -B, B)
+        xi[~live] = 0.0
+    r = y - psi @ xi
+    scale = max(float(y @ y), 1.0)
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(ncoef):
+            if d[j] == 0.0:
+                continue
+            old = xi[j]
+            new = (float(psi[:, j] @ r) + d[j] * old) / d[j]
+            new = min(max(new, -B), B)
+            if new != old:
+                r -= psi[:, j] * (new - old)
+                xi[j] = new
+                delta = max(delta, abs(new - old))
+        if delta == 0.0 or sieve._kkt_residual(psi, r, xi, B, d) <= tol * scale:
+            break
+    return xi
+
+
+def test_box_solver_on_the_qr_factor_matches_the_dense_solve():
+    # n from 1 to 60 against 1 to 12 coefficients (fewer rows than
+    # coefficients too), some zero columns, and a box that binds at half
+    # the least-squares solution's largest entry and one that does not.
+    # Enough sweeps that the KKT test, not the sweep cap, ends every
+    # solve: rank-deficient problems converge slowly either way
+    rng = np.random.default_rng(2017)
+    tol, sweeps, eps = 1e-10, 20000, np.finfo(float).eps
+    bound = 0
+    for _ in range(300):
+        n, ncoef = int(rng.integers(1, 61)), int(rng.integers(1, 13))
+        psi = rng.normal(size=(n, ncoef))
+        psi[:, rng.random(ncoef) < 0.2] = 0.0
+        y = 3.0 * rng.normal(size=n)
+        top = np.max(np.abs(np.linalg.lstsq(psi, y, rcond=None)[0]))
+        full_rank = np.linalg.matrix_rank(psi) == ncoef
+        for B in (0.5 * top, 2.0 * top + 1e-3):
+            if B == 0.0:
+                continue
+            xi = solve_xi_box(y, psi, B, tol, sweeps)
+            ref = _solve_xi_box_dense(y, psi, B, tol, sweeps)
+            if B > top:
+                np.testing.assert_array_equal(xi, ref)
+                continue
+            bound += 1
+            assert np.max(np.abs(xi)) <= B
+            if full_rank:
+                assert np.max(np.abs(xi - ref)) <= 1e-9 * np.max(np.abs(ref))
+            obj, obj_ref = (float(np.sum((y - psi @ v) ** 2)) for v in (xi, ref))
+            assert abs(obj - obj_ref) <= 1e-10 * obj_ref
+            # optimality on the original problem, up to the rounding of
+            # the gradient psi'(y - psi xi)
+            scale = max(float(y @ y), 1.0)
+            d = np.einsum("ij,ij->j", psi, psi)
+            kkt = sieve._kkt_residual(psi, y - psi @ xi, xi, B, d)
+            assert kkt <= (tol + 8 * eps) * scale
+    assert bound > 250
 
 
 def _kkt_residual_loop(psi, r, xi, B, d):
