@@ -1,12 +1,15 @@
 """Chain persistence: one CSV row per draw plus a JSON layout header.
 
-Floats are written with repr, so a save/load cycle is bit-exact.
+Floats are written with repr, so a save/load cycle is bit-exact.  The
+rows are read back in one C pass by numpy's text reader; the row-by-row
+``csv`` reader runs only when that pass fails, to name the bad cell.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 
@@ -17,6 +20,9 @@ from .io_utils import atomic_write, write_json
 
 # how a malformed-row message names each checked column
 _KIND = {"h": "bandwidth", "mu": "center", "xi": "coefficient", "sigma": "sigma"}
+# whitespace to numpy's float reader but not to float(): '1\x1c' is 1.0 to
+# np.loadtxt and a ValueError to float()
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _columns(p, nb, n_s, q):
@@ -60,6 +66,35 @@ def save_draws(draws, csv_path, json_path=None):
     write_json(json_path, header)
 
 
+def _parse_rows(lines, cols):
+    """The data lines as a (len(lines), len(cols)) float table."""
+    text = "".join(lines)
+    if not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, delimiter=",", comments=None,
+                                   dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if table.shape == (len(lines), len(cols)):
+                return table
+    rows = []
+    for i, row in enumerate(csv.reader(lines), start=2):
+        if len(row) < len(cols):
+            raise ValueError(f"missing cell at row {i}, column {cols[len(row)]!r}")
+        if len(row) > len(cols):
+            raise ValueError(f"extra cell {row[len(cols)]!r} at row {i}, "
+                             f"column {len(cols) + 1}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            for v, c in zip(row, cols):
+                _parse_cell(v, i, c)
+    return np.array(rows).reshape(len(rows), len(cols))
+
+
 def load_draws(csv_path, json_path=None):
     """Inverse of :func:`save_draws`.
 
@@ -69,7 +104,18 @@ def load_draws(csv_path, json_path=None):
     allows, as :func:`core.draw_violations` checks them with its default
     bounds: Kh > 1, every center in its block closure and sigma > 0.  A
     malformed row raises ValueError naming its file row (the header is
-    row 1) and column.
+    row 1) and column; a file with no data rows raises ValueError naming
+    the file.
+
+    The data rows are parsed by ``np.loadtxt`` in one C pass.  Its table is
+    kept only when it holds one row per line and one value per column and
+    no cell holds what only numpy counts as whitespace; otherwise (a parse
+    error or warning, a blank line it would skip, a quoted or underscored
+    cell, a stray cell) the rows go through ``csv.reader`` and ``float``
+    one at a time, which return the same table or raise the message that
+    names the first bad cell.  Both paths convert a cell with CPython's
+    ``PyOS_string_to_double``, which rounds a decimal correctly to the
+    nearest double, so they read the same bits.
     """
     from .sampler import PosteriorDraws
 
@@ -79,25 +125,15 @@ def load_draws(csv_path, json_path=None):
         header = json.load(fh)
     K, p, m = header["K"], header["p"], header["m"]
     nb, n_s, q = header["n_blocks"], header["n_coef_per_block"], header["q"]
-    rows = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        cols = next(reader)
+        cols = next(csv.reader(fh))
         if cols != header["columns"]:
             raise ValueError("chain CSV does not match its JSON header")
-        for i, row in enumerate(reader, start=2):
-            if len(row) < len(cols):
-                raise ValueError(f"missing cell at row {i}, column {cols[len(row)]!r}")
-            if len(row) > len(cols):
-                raise ValueError(f"extra cell {row[len(cols)]!r} at row {i}, "
-                                 f"column {len(cols) + 1}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                for v, c in zip(row, cols):
-                    _parse_cell(v, i, c)
-    T = len(rows)
-    table = np.array(rows).reshape(T, len(cols))
+        lines = fh.readlines()
+    if not lines:
+        raise ValueError(f"{csv_path}: no data rows")
+    table = _parse_rows(lines, cols)
+    T = len(table)
     grid = PartitionGrid(K, p)
     starts = np.cumsum([0, q, 1, 1, nb * p, nb * n_s, 1, 1]).tolist()
     parts = np.split(table, starts[1:], axis=1)

@@ -94,6 +94,8 @@ class ConjugatePosterior:
         """Materialize draws as a PosteriorDraws so the generic posterior
         summaries (L2-credible sets, bands, DIC) apply unchanged.  Without
         data the log scores are NaN."""
+        if n_draws < 1:
+            raise ValueError(f"need n_draws >= 1, got n_draws = {n_draws}")
         xi, sig = self.sample(n_draws, rng)
         sk = self.skeleton
         h = np.full(n_draws, sk.h)

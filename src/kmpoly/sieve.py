@@ -32,52 +32,49 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
     when it already satisfies the box.  Otherwise an active-set bounded
     least-squares solve is polished by projected coordinate descent with
     exact coordinate minimizers until the KKT residual of every coordinate
-    is below tol times the problem scale (from the caller's y).
+    is below tol times the problem scale (from the caller's y).  Both leave
+    out psi's zero columns, whose coefficients stay 0: the loss does not
+    depend on them.
 
     Both run on the triangular factor R = [A | b] of the QR decomposition
-    of [psi | y], which has min(n, ncoef + 1) rows however large n is.  Q is
-    orthogonal, so ||y - psi xi||^2 = ||b - A xi||^2 (where n > ncoef, A's
-    last row is zero and b's last entry adds only a constant): the
-    minimizer, the gradient psi'(y - psi xi) = A'(b - A xi) and with them
-    the KKT test are those of the original problem.  Householder
-    reflections map a zero column to a zero column, so A's zero columns
-    are psi's.
+    of [psi | y] (without its zero columns), which has min(n, ncoef + 1)
+    rows however large n is.  Q is orthogonal, so ||y - psi xi||^2 =
+    ||b - A xi||^2 (where n > ncoef, A's last row is zero and b's last
+    entry adds only a constant): the minimizer, the gradient
+    psi'(y - psi xi) = A'(b - A xi) and with them the KKT test are those of
+    the original problem.
     """
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    ncoef = psi.shape[1]
-    xi = np.zeros(ncoef)
+    xi = np.zeros(psi.shape[1])
     if B == 0:
         return xi
     ls, *_ = np.linalg.lstsq(psi, y, rcond=None)
     if np.max(np.abs(ls)) <= B:
         return ls
     scale = max(float(y @ y), 1.0)
-    ra = np.linalg.qr(np.column_stack([psi, y]), mode="r")
-    A, b = ra[:, :ncoef], ra[:, ncoef]
+    live = np.einsum("ij,ij->j", psi, psi) > 0.0
+    ra = np.linalg.qr(np.column_stack([psi[:, live], y]), mode="r")
+    A, b = ra[:, :-1], ra[:, -1]
     d = np.einsum("ij,ij->j", A, A)
-    live = d > 0.0
-    if np.all(live):
-        res = optimize.lsq_linear(A, b, bounds=(-B, B), method="bvls")
-        xi = np.clip(res.x, -B, B)
-    else:
-        xi = np.clip(ls, -B, B)
-        xi[~live] = 0.0
-    r = b - A @ xi
+    res = optimize.lsq_linear(A, b, bounds=(-B, B), method="bvls")
+    x = np.clip(res.x, -B, B)
+    r = b - A @ x
     for _ in range(max_sweeps):
         delta = 0.0
-        for j in range(ncoef):
+        for j in range(x.shape[0]):
             if d[j] == 0.0:
                 continue
-            old = xi[j]
+            old = x[j]
             new = (float(A[:, j] @ r) + d[j] * old) / d[j]
             new = min(max(new, -B), B)
             if new != old:
                 r -= A[:, j] * (new - old)
-                xi[j] = new
+                x[j] = new
                 delta = max(delta, abs(new - old))
-        if delta == 0.0 or _kkt_residual(A, r, xi, B, d) <= tol * scale:
+        if delta == 0.0 or _kkt_residual(A, r, x, B, d) <= tol * scale:
             break
+    xi[live] = x
     return xi
 
 

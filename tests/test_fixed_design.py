@@ -87,6 +87,13 @@ def test_to_posterior_draws_supports_generic_summaries(rng):
     np.testing.assert_array_equal(draws.logpost, draws.loglik)
 
 
+@pytest.mark.parametrize("n_draws", [0, -1])
+def test_to_posterior_draws_rejects_no_draws(rng, n_draws):
+    post = conjugate_fit(sine_data(60, seed=4), K=3)
+    with pytest.raises(ValueError, match=f"n_draws = {n_draws}"):
+        post.to_posterior_draws(n_draws, rng)
+
+
 def test_band_coverage_calibrated():
     # nominal-95% band on a smooth truth, grid-averaged over replicates
     grid = np.linspace(0, 1, 100)

@@ -50,37 +50,31 @@ def test_box_solver_handles_zero_columns(rng):
 def _solve_xi_box_dense(y, psi, B, tol=1e-10, max_sweeps=200):
     # reference: solve_xi_box with the active set and the polish run on the
     # dense n-row basis instead of the triangular factor of [psi | y]
-    ncoef = psi.shape[1]
-    xi = np.zeros(ncoef)
+    xi = np.zeros(psi.shape[1])
     if B == 0:
         return xi
     ls, *_ = np.linalg.lstsq(psi, y, rcond=None)
     if np.max(np.abs(ls)) <= B:
         return ls
-    d = np.einsum("ij,ij->j", psi, psi)
-    live = d > 0.0
-    if np.all(live):
-        res = lsq_linear(psi, y, bounds=(-B, B), method="bvls")
-        xi = np.clip(res.x, -B, B)
-    else:
-        xi = np.clip(ls, -B, B)
-        xi[~live] = 0.0
-    r = y - psi @ xi
+    live = np.einsum("ij,ij->j", psi, psi) > 0.0
+    A = psi[:, live]
+    d = np.einsum("ij,ij->j", A, A)
+    x = np.clip(lsq_linear(A, y, bounds=(-B, B), method="bvls").x, -B, B)
+    r = y - A @ x
     scale = max(float(y @ y), 1.0)
     for _ in range(max_sweeps):
         delta = 0.0
-        for j in range(ncoef):
-            if d[j] == 0.0:
-                continue
-            old = xi[j]
-            new = (float(psi[:, j] @ r) + d[j] * old) / d[j]
+        for j in range(x.shape[0]):
+            old = x[j]
+            new = (float(A[:, j] @ r) + d[j] * old) / d[j]
             new = min(max(new, -B), B)
             if new != old:
-                r -= psi[:, j] * (new - old)
-                xi[j] = new
+                r -= A[:, j] * (new - old)
+                x[j] = new
                 delta = max(delta, abs(new - old))
-        if delta == 0.0 or sieve._kkt_residual(psi, r, xi, B, d) <= tol * scale:
+        if delta == 0.0 or sieve._kkt_residual(A, r, x, B, d) <= tol * scale:
             break
+    xi[live] = x
     return xi
 
 
@@ -121,6 +115,30 @@ def test_box_solver_on_the_qr_factor_matches_the_dense_solve():
             kkt = sieve._kkt_residual(psi, y - psi @ xi, xi, B, d)
             assert kkt <= (tol + 8 * eps) * scale
     assert bound > 250
+
+
+def test_box_solver_reaches_its_kkt_tolerance_with_zero_columns():
+    # the generator above with the box binding: rank-deficient problems
+    # with zero columns, on which a coordinate polish alone converges
+    # slowly, must still meet the KKT tolerance at the default 200 sweeps
+    rng = np.random.default_rng(2017)
+    tol, eps = 1e-10, np.finfo(float).eps
+    bound = 0
+    for _ in range(2000):
+        n, ncoef = int(rng.integers(1, 61)), int(rng.integers(1, 13))
+        psi = rng.normal(size=(n, ncoef))
+        psi[:, rng.random(ncoef) < 0.2] = 0.0
+        y = 3.0 * rng.normal(size=n)
+        B = 0.5 * np.max(np.abs(np.linalg.lstsq(psi, y, rcond=None)[0]))
+        if B == 0.0:
+            continue
+        bound += 1
+        xi = solve_xi_box(y, psi, B)
+        d = np.einsum("ij,ij->j", psi, psi)
+        assert np.all(xi[d == 0.0] == 0.0) and np.max(np.abs(xi)) <= B
+        kkt = sieve._kkt_residual(psi, y - psi @ xi, xi, B, d)
+        assert kkt <= (tol + 8 * eps) * max(float(y @ y), 1.0)
+    assert bound > 1900
 
 
 def _kkt_residual_loop(psi, r, xi, B, d):
