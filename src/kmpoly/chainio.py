@@ -126,7 +126,9 @@ def load_draws(csv_path, json_path=None):
     K, p, m = header["K"], header["p"], header["m"]
     nb, n_s, q = header["n_blocks"], header["n_coef_per_block"], header["q"]
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        cols = next(csv.reader(fh))
+        cols = next(csv.reader(fh), None)
+        if cols is None:
+            raise ValueError(f"{csv_path}: missing header row")
         if cols != header["columns"]:
             raise ValueError("chain CSV does not match its JSON header")
         lines = fh.readlines()

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 KERNEL_FAMILIES = ("bump", "triangle", "epanechnikov")
 
@@ -396,25 +397,41 @@ def _eval_curves(grid: PartitionGrid, m: int, kernel: str, h, mu, xi, x):
     sup-distance h_t of mu_tk, so only the points within
     max_t (h_t + ||mu_tk - mu*_k||_inf) of block k's fixed center can feel
     it: they form block k's window (:func:`support_pairs`), padded to the
-    widest window with a point at infinity, where every kernel is zero.
-    For a batch of draws, the kernel values and the block polynomials are
-    formed on the windows only, (K^p, draws, window), summed per point into
-    the kernel row sums S and the numerators sum_k phi_k P_k, and divided
-    once per (draw, point) by :func:`normalize_weights`.  A batch holds at
-    most ``BATCH_ELEMENTS`` (draw, window pair) radii, or one draw if a
-    single draw exceeds it.
+    widest window W by repeating point 0.  For a batch of draws, the kernel
+    values and the block polynomials are formed on the windows only, laid
+    out (K^p, W, draws) so that the draws of one window slot, which mostly
+    share whether they lie inside the support, sit side by side.  The sparse
+    n x (K^p W) matrix A holds 1.0 at (point, k W + slot) for each real
+    window slot and nothing for padding, so A @ phi gives each point's
+    kernel row sum S, and A @ (phi P) its numerator sum_k phi_k P_k, which
+    :func:`normalize_weights` divides once per (draw, point).  A row of A
+    lists its columns in block order, and scipy's CSR product starts each
+    sum at 0.0 and adds the row's terms in column order, so every sum,
+    signed zeros included, is the block-order sum from 0.0 that a bincount
+    over the points forms.  A batch holds at most ``BATCH_ELEMENTS``
+    (draw, window pair) radii, or one draw if a single draw exceeds it.
     """
     x = _check_points(x, grid.p)
     n, nb = x.shape[0], grid.n_blocks
     reach = np.max(h[:, None] + sup_dist(mu, grid.block_centers), axis=0)
     blk, rows = support_pairs(grid, x, reach)
     pos = np.arange(blk.size) - np.searchsorted(blk, blk)   # place in window
-    idx = np.full((nb, np.bincount(blk, minlength=nb).max()), n)  # n: padding
+    W = np.bincount(blk, minlength=nb).max()
+    idx = np.zeros((nb, W), dtype=int)                      # 0: padding
     idx[blk, pos] = rows
-    xw = np.concatenate([x, np.full((1, grid.p), np.inf)])[idx][:, None]
-    mono = np.zeros((nb, len(_mindex_cached(grid.p, m)), idx.shape[1]))
+    xw = x[idx][:, :, None]
+    mono = np.zeros((nb, len(_mindex_cached(grid.p, m)), W))
     mono[blk, :, pos] = monomial_tensor(grid, m, x)[rows, blk]
-    mu, xi = mu.transpose(1, 0, 2)[:, :, None], xi.transpose(1, 0, 2)
+    # used as a (K^p, W, n_s) view: a one-draw batch's polynomials are a
+    # BLAS gemv, whose rounding follows the matrix's memory order, and this
+    # order rounds them as the (K^p, draws, W) product of the bincount
+    # reference in tests/test_sampler.py does
+    mono = mono.transpose(0, 2, 1)
+    A = sparse.csr_array(
+        (np.ones(blk.size), (blk * W + pos)[np.argsort(rows, kind="stable")],
+         np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])),
+        shape=(n, nb * W))
+    mu, xi = mu.transpose(1, 0, 2)[:, None], xi.transpose(1, 2, 0)
     spec = KernelSpec(kernel, 1.0)
     T = h.shape[0]
     out = np.empty((T, n))
@@ -422,13 +439,10 @@ def _eval_curves(grid: PartitionGrid, m: int, kernel: str, h, mu, xi, x):
     for a in range(0, T, step):
         t = slice(a, a + step)
         tb = h[t].shape[0]
-        phi = spec.profile(sup_dist(xw, mu[:, t]) / h[None, t, None])
-        # bin d * (n + 1) + row of each (block, draw d, window) entry
-        bins = (idx[:, None] + (n + 1) * np.arange(tb)[:, None]).ravel()
-        S, num = (np.bincount(bins, v.ravel(), tb * (n + 1))
-                  .reshape(tb, n + 1)[:, :n]
-                  for v in (phi, phi * (xi[:, t] @ mono)))
-        out[t] = normalize_weights(num, S)
+        phi = spec.profile(sup_dist(xw, mu[:, :, t]) / h[t])   # (K^p, W, tb)
+        S = A @ phi.reshape(nb * W, tb)
+        num = A @ (phi * (mono @ xi[:, :, t])).reshape(nb * W, tb)
+        out[t] = normalize_weights(num, S).T
     return out
 
 

@@ -71,8 +71,7 @@ def pointwise_band(draws: PosteriorDraws, grid, level=0.95) -> CredibleSummary:
         raise ValueError("no draws")
     curves = draws.curves(grid)
     mean = curves.mean(axis=0)
-    lo = np.quantile(curves, (1.0 - level) / 2.0, axis=0)
-    hi = np.quantile(curves, (1.0 + level) / 2.0, axis=0)
+    lo, hi = np.quantile(curves, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=0)
     return CredibleSummary(np.asarray(grid), mean, lo, hi, level, "pointwise")
 
 
@@ -93,11 +92,20 @@ def l2_credible_set(draws: PosteriorDraws, grid, level=0.95,
 
     The credible set contains the posterior mean curve by construction
     (its distance from itself is zero), so the mean participates in the
-    envelope alongside the retained draws.
+    envelope alongside the retained draws.  ``weights``, if given, holds one
+    finite nonnegative value per grid point, with a positive sum.
     """
     if len(draws) < 2:
         raise ValueError("need at least 2 draws for an L2-credible set")
     curves = draws.curves(grid)
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != curves.shape[1:]:
+            raise ValueError(f"weights must have shape {curves.shape[1:]}, "
+                             f"one per grid point, not {w.shape}")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
+            raise ValueError("weights must be finite and nonnegative "
+                             "with a positive sum")
     fhat = curves.mean(axis=0)
     norms = grid_l2_norms(curves, fhat, weights)
     radius = float(np.quantile(norms, level))

@@ -144,6 +144,9 @@ def test_chain_without_data_rows_rejected(tmp_path):
     csv_path.write_text(head + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{csv_path}: no data rows")):
         PosteriorDraws.from_csv(csv_path)
+    csv_path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"{csv_path}: missing header row")):
+        PosteriorDraws.from_csv(csv_path)
     # a blank line is a row without cells, and numpy's no-data warning
     # must not escape on the way to saying so
     csv_path.write_text(head + "\n\n")

@@ -92,7 +92,7 @@ def _check_batched_curves(p, K, kernel, m, monkeypatch):
 
     monkeypatch.setattr(core.KernelSpec, "profile", spy)
     np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
-    (nb, T, width), = shapes          # (blocks, draws, window): one batch
+    (nb, width, T), = shapes          # (blocks, window, draws): one batch
     assert (nb, T) == (K**p, 10)
     if K > 3:
         assert width < len(x)
@@ -100,12 +100,84 @@ def _check_batched_curves(p, K, kernel, m, monkeypatch):
     shapes.clear()
     monkeypatch.setattr(core, "BATCH_ELEMENTS", 3 * nb * width)
     np.testing.assert_allclose(chain.curves(x), want, rtol=0, atol=1e-12)
-    assert [s[1] for s in shapes] == [3, 3, 3, 1]
+    assert [s[2] for s in shapes] == [3, 3, 3, 1]
     # a single draw larger than the batch budget still evaluates whole
     shapes.clear()
     monkeypatch.setattr(core, "BATCH_ELEMENTS", 1)
     np.testing.assert_allclose(eval_f(draws[4], x), want[4], rtol=0, atol=1e-12)
-    assert len(shapes) == 1 and shapes[0][:2] == (nb, 1)
+    assert len(shapes) == 1 and shapes[0][::2] == (nb, 1)
+
+
+def _eval_curves_bincount(grid, m, kernel, h, mu, xi, x):
+    """Reference for ``core._eval_curves``: the same windows and batches,
+    laid out (blocks, draws, window), with each point's sums formed by
+    ``np.bincount`` over (draw, point) bins, block by block from 0.0."""
+    x = core._check_points(x, grid.p)
+    n, nb = x.shape[0], grid.n_blocks
+    reach = np.max(h[:, None] + core.sup_dist(mu, grid.block_centers), axis=0)
+    blk, rows = core.support_pairs(grid, x, reach)
+    pos = np.arange(blk.size) - np.searchsorted(blk, blk)
+    idx = np.full((nb, np.bincount(blk, minlength=nb).max()), n)  # n: padding
+    idx[blk, pos] = rows
+    xw = np.concatenate([x, np.full((1, grid.p), np.inf)])[idx][:, None]
+    mono = np.zeros((nb, len(core.MultiIndexSet(grid.p, m)), idx.shape[1]))
+    mono[blk, :, pos] = core.monomial_tensor(grid, m, x)[rows, blk]
+    mu, xi = mu.transpose(1, 0, 2)[:, :, None], xi.transpose(1, 0, 2)
+    spec = core.KernelSpec(kernel, 1.0)
+    T = h.shape[0]
+    out = np.empty((T, n))
+    step = max(1, core.BATCH_ELEMENTS // max(1, idx.size))
+    for a in range(0, T, step):
+        t = slice(a, a + step)
+        tb = h[t].shape[0]
+        phi = spec.profile(core.sup_dist(xw, mu[:, t]) / h[None, t, None])
+        bins = (idx[:, None] + (n + 1) * np.arange(tb)[:, None]).ravel()
+        S, num = (np.bincount(bins, v.ravel(), tb * (n + 1))
+                  .reshape(tb, n + 1)[:, :n]
+                  for v in (phi, phi * (xi[:, t] @ mono)))
+        out[t] = core.normalize_weights(num, S)
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kernel", ["bump", "triangle", "epanechnikov"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_curves_match_the_bincount_reference_bit_for_bit(p, kernel, m,
+                                                         monkeypatch):
+    K = {1: 9, 2: 4}[p]
+    rng = np.random.default_rng(1000 + 100 * p + 10 * m + len(kernel))
+    prior = PriorConfig(m=m, kernel=kernel)
+    draws = [sample_prior(prior, K, rng, p=p) for _ in range(11)]
+    h, mu, xi = (np.array([getattr(d, c) for d in draws]) for c in ("h", "mu", "xi"))
+    h[0], h[1] = prior.h_lo / K, prior.h_hi / K
+    # zero polynomials, and a constant of -5e-324: every bump term
+    # phi * P (phi <= 1/e) then rounds to -0.0, so a sum's start shows
+    xi[3] = 0.0
+    xi[5] = 0.0
+    xi[5, :, 0] = -5e-324
+    edges = np.arange(K + 1) / K
+    x = rng.permutation(np.concatenate([rng.uniform(0.0, 1.0, (40, p)),
+                                        np.stack([edges] * p, axis=1),
+                                        rng.choice(edges, (K + 1, p))]))
+    grid = PartitionGrid(K, p)
+    shapes = []
+    profile = core.KernelSpec.profile
+
+    def spy(spec, t):
+        shapes.append(np.shape(t))
+        return profile(spec, t)
+
+    monkeypatch.setattr(core.KernelSpec, "profile", spy)
+    core._eval_curves(grid, m, kernel, h, mu, xi, x)
+    nb, width, _ = shapes[0]
+    # one batch; batches of 3, 3, 3 and 2 draws; one draw a batch
+    for budget in (core.BATCH_ELEMENTS, 3 * nb * width, 1):
+        monkeypatch.setattr(core, "BATCH_ELEMENTS", budget)
+        got = core._eval_curves(grid, m, kernel, h, mu, xi, x)
+        want = _eval_curves_bincount(grid, m, kernel, h, mu, xi, x)
+        assert got.tobytes() == want.tobytes()
+    if kernel == "bump":
+        assert not np.signbit(got[5]).any() and np.all(got[5] == 0.0)
 
 
 def test_curves_reject_empty_chain():

@@ -77,6 +77,17 @@ def test_l2_norms_weighted(rng):
     np.testing.assert_allclose(grid_l2_norms(curves, center, w), ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("weights", [np.ones(6), np.ones((7, 1)),
+                                     [1.0, np.nan, 1, 1, 1, 1, 1],
+                                     [1.0, np.inf, 1, 1, 1, 1, 1],
+                                     [1.0, -0.5, 1, 1, 1, 1, 1], np.zeros(7)],
+                         ids=["short", "2d", "nan", "inf", "negative", "zero-sum"])
+def test_l2set_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="weights"):
+        l2_credible_set(_const_draws([1.0, 2.0, 3.0]), np.linspace(0, 1, 7),
+                        weights=weights)
+
+
 def test_l2set_wider_than_pointwise_on_synthetic_run():
     prior = PriorConfig()
     data = sine_data(120, sigma=0.2, seed=10)
