@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .core import (KmpParams, MultiIndexSet, PartitionGrid, _eval_curves,
@@ -70,6 +70,8 @@ class ConjugatePosterior:
     def pointwise_band(self, xgrid, level=0.95):
         """Closed-form pointwise band for f; the f(x) marginals are
         location-scale Student-t with 2 * ig_shape degrees of freedom."""
+        if not 0.0 < level < 1.0:
+            raise ValueError("level must be in (0, 1)")
         psi = self.curve_basis(xgrid)
         mean = psi @ self.xi_mean
         # var(f(x) | sigma^2) = sigma^2 psi' A^{-1} psi
@@ -77,7 +79,7 @@ class ConjugatePosterior:
         quad = np.einsum("ij,ij->j", half, half)
         df = 2.0 * self.ig_shape
         scale = np.sqrt(quad * self.ig_scale / self.ig_shape)
-        tq = stats.t.ppf(0.5 + level / 2.0, df)
+        tq = special.stdtrit(df, 0.5 + level / 2.0)
         return mean, mean - tq * scale, mean + tq * scale
 
     def sample(self, n_draws, rng):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from ._stats import invgamma_logpdf, trunc_invgamma_sample, truncnorm_ppf
 from .core import KmpParams, MultiIndexSet, PartitionGrid
@@ -181,6 +181,6 @@ def prior_K_tail(cfg: PriorConfig, x: int) -> float:
         # support {1, 2, ...}; P(K = k) = rho (1 - rho)^(k-1)
         return float((1.0 - cfg.rho) ** (x - 1))
     # Poisson(lam) restricted to K >= 1, renormalized
-    upper = stats.poisson.sf(x - 1, cfg.lam)
-    mass_ge1 = stats.poisson.sf(0, cfg.lam)
+    upper = special.pdtrc(x - 1, cfg.lam)
+    mass_ge1 = special.pdtrc(0, cfg.lam)
     return float(upper / mass_ge1)

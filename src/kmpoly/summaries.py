@@ -95,6 +95,8 @@ def l2_credible_set(draws: PosteriorDraws, grid, level=0.95,
     envelope alongside the retained draws.  ``weights``, if given, holds one
     finite nonnegative value per grid point, with a positive sum.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     if len(draws) < 2:
         raise ValueError("need at least 2 draws for an L2-credible set")
     curves = draws.curves(grid)

@@ -1,4 +1,8 @@
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import kmpoly
 from kmpoly import sieve
@@ -23,3 +27,15 @@ def test_removed_names_are_gone():
     assert "draws" not in kmpoly.PosteriorDraws.__dataclass_fields__
     # one weight formula: kernel values over their row sum
     assert not hasattr(kmpoly.KernelSpec, "log_profile")
+
+
+def test_import_loads_no_scipy_stats():
+    # a fresh interpreter: this test session imports scipy.stats itself
+    src = str(Path(kmpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, kmpoly, kmpoly.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -90,6 +90,17 @@ def test_sieve_mle_command(runner, fixture_csv, tmp_path):
     assert 1.2 <= fit["Kh"] <= 2.0
 
 
+def test_fit_fixed_rejects_bad_level(runner, fixture_csv, tmp_path):
+    out = tmp_path / "fixed"
+    result = runner.invoke(main, ["fit-fixed", "--data", fixture_csv,
+                                  "--level", "1.5", "--out", str(out)])
+    assert result.exit_code != 0
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert "level" in err["message"]
+    assert not (out / "band.csv").exists()
+
+
 def test_select_k_emits_table(runner, fixture_csv, tmp_path):
     out = tmp_path / "dic"
     _run(runner, ["select-k", "--data", fixture_csv, "--k-min", "6",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from kmpoly import (Dataset, basis_matrix, choose_Kn, conjugate_fit,
                     empirical_l2, eval_f, fixed_design_params, loglik,
@@ -65,6 +66,23 @@ def test_band_matches_sampled_quantiles(rng):
     np.testing.assert_allclose(mean, curves.mean(axis=1), atol=0.01)
     np.testing.assert_allclose(lo, np.quantile(curves, 0.025, axis=1), atol=0.02)
     np.testing.assert_allclose(hi, np.quantile(curves, 0.975, axis=1), atol=0.02)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, np.nan])
+def test_band_rejects_bad_level(level):
+    post = conjugate_fit(sine_data(60, seed=4), K=3)
+    with pytest.raises(ValueError, match="level must be in"):
+        post.pointwise_band(np.linspace(0, 1, 5), level)
+
+
+def test_band_quantile_matches_scipy_stats():
+    # bit for bit the Student-t quantile that the scipy.special call replaces
+    dfs = [2.0 * conjugate_fit(sine_data(n, seed=n), K=2).ig_shape
+           for n in (5, 6, 17, 50, 333, 1000, 5000)]
+    for df in dfs:
+        for level in (0.5, 0.9, 0.95, 0.999):
+            q = 0.5 + level / 2.0
+            assert special.stdtrit(df, q) == stats.t.ppf(q, df), (df, level)
 
 
 def test_sigma2_summaries(rng):

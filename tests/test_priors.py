@@ -126,6 +126,12 @@ def test_poisson_tail_matches_brute_force():
     for x in [1, 2, 5, 11]:
         brute = float(pmf[ks >= x].sum())
         assert prior_K_tail(cfg, x) == pytest.approx(brute, abs=1e-12)
+    # bit for bit the scipy.stats tail that the scipy.special call replaces
+    for lam in (0.5, 5.0, 30.0):
+        cfg = PriorConfig(pi_K="poisson", lam=lam)
+        for x in range(2, 41):
+            want = stats.poisson.sf(x - 1, lam) / stats.poisson.sf(0, lam)
+            assert prior_K_tail(cfg, x) == want, (lam, x)
 
 
 def test_tail_rejects_bad_argument():

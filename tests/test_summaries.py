@@ -69,6 +69,13 @@ def test_l2set_envelope_contains_mean(rng):
         assert np.all(summ.mean <= summ.upper + 1e-12)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, np.nan])
+def test_l2set_rejects_bad_level(level):
+    with pytest.raises(ValueError, match="level"):
+        l2_credible_set(_const_draws([1.0, 2.0, 3.0]), np.linspace(0, 1, 7),
+                        level=level)
+
+
 def test_l2_norms_weighted(rng):
     curves = rng.normal(size=(6, 4))
     center = rng.normal(size=4)
