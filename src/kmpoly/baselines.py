@@ -194,6 +194,8 @@ def rescaled_gp_fit(data, cfg: GpConfig, xgrid, level=0.95) -> GpFit:
     quantiles over one sampled curve per draw.  Wall-clock time and the
     number of n-by-n factorizations are recorded.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     x = data.x.ravel()

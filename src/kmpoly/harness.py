@@ -74,6 +74,10 @@ class ScenarioSpec:
     coverage_windows: dict = field(default_factory=lambda: {
         "bump": (0.30, 0.35), "flat": (0.50, 0.90)})
 
+    def __post_init__(self):
+        if not 0.0 < self.level < 1.0:
+            raise ValueError("level must be in (0, 1)")
+
     def grid(self):
         return np.linspace(0.0, 1.0, self.grid_size)
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .core import KmpParams, MultiIndexSet, PartitionGrid, sup_dist
 from .fixed_design import choose_Kn
@@ -44,6 +43,8 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
     psi'(y - psi xi) = A'(b - A xi) and with them the KKT test are those of
     the original problem.
     """
+    if not B >= 0:
+        raise ValueError(f"need B >= 0, got B = {B}")
     y = np.asarray(y, dtype=float)
     psi = np.asarray(psi, dtype=float)
     xi = np.zeros(psi.shape[1])
@@ -57,8 +58,7 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
     ra = np.linalg.qr(np.column_stack([psi[:, live], y]), mode="r")
     A, b = ra[:, :-1], ra[:, -1]
     d = np.einsum("ij,ij->j", A, A)
-    res = optimize.lsq_linear(A, b, bounds=(-B, B), method="bvls")
-    x = np.clip(res.x, -B, B)
+    x = np.clip(_bvls(A, b, B), -B, B)
     r = b - A @ x
     for _ in range(max_sweeps):
         delta = 0.0
@@ -76,6 +76,77 @@ def solve_xi_box(y, psi, B, tol=1e-10, max_sweeps=200):
             break
     xi[live] = x
     return xi
+
+
+def _bvls(A, b, B):
+    """Minimize ||A x - b|| subject to -B <= x <= B by bounded-variable least
+    squares (Stark & Parker 1995, Computational Statistics 10:129-141).
+
+    A port of scipy's BSD-licensed ``scipy/optimize/_lsq/bvls.py`` as
+    ``lsq_linear(A, b, bounds=(-B, B), method="bvls")`` runs it (scipy
+    1.17), matching it step for step and so bit for bit, without its verbose
+    output and result bookkeeping.  The least-squares solution is returned
+    if it lies in the box.  Else the initialization loop fixes at their
+    bound the free variables whose least-squares value leaves the box until
+    the rest is feasible; Loop A frees the bound variable that violates the
+    KKT conditions most, and Loop B steps the free variables toward their
+    least-squares value, fixing the first to reach a bound, until that value
+    is feasible.  It stops when the KKT violation or the relative cost
+    decrease is below tol = 1e-10 (lsq_linear's default), or after n passes
+    of Loop A.
+    """
+    n, tol = A.shape[1], 1e-10
+    x = np.linalg.lstsq(A, b, rcond=-1)[0]
+    if np.all((x >= -B) & (x <= B)):
+        return x
+    on_bound = np.zeros(n)
+    on_bound[x <= -B] = -1.0
+    on_bound[x >= B] = 1.0
+    x = np.clip(x, -B, B)
+    free = np.flatnonzero(on_bound == 0)
+    while free.size > 0:  # initialization loop
+        z = np.linalg.lstsq(A[:, free], b - A.dot(x * (on_bound != 0)),
+                            rcond=None)[0]
+        lbv, ubv = z < -B, z > B
+        v = lbv | ubv
+        x[free[lbv]], on_bound[free[lbv]] = -B, -1.0
+        x[free[ubv]], on_bound[free[ubv]] = B, 1.0
+        x[free[~v]] = z[~v]
+        if not v.any():
+            break
+        free = free[~v]
+    r = A.dot(x) - b
+    cost = 0.5 * np.dot(r, r)
+    g = A.T.dot(r)
+    for _ in range(n):  # Loop A
+        if np.max(np.where(on_bound == 0, np.abs(g), g * on_bound)) < tol:
+            break
+        on_bound[np.argmax(g * on_bound)] = 0.0
+        while True:  # Loop B
+            free = np.flatnonzero(on_bound == 0)
+            x_free = x[free]
+            z = np.linalg.lstsq(A[:, free], b - A.dot(x * (on_bound != 0)),
+                                rcond=None)[0]
+            lbv, = np.nonzero(z < -B)
+            ubv, = np.nonzero(z > B)
+            v = np.hstack((lbv, ubv))
+            if v.size == 0:
+                x[free] = z
+                break
+            alphas = np.hstack((-B - x_free[lbv], B - x_free[ubv])) \
+                / (z[v] - x_free[v])
+            i = np.argmin(alphas)
+            x_free *= 1 - alphas[i]
+            x_free += alphas[i] * z
+            x[free] = x_free
+            on_bound[free[v[i]]] = -1.0 if i < lbv.size else 1.0
+        r = A.dot(x) - b
+        cost_new = 0.5 * np.dot(r, r)
+        if cost - cost_new < tol * cost:
+            break
+        cost = cost_new
+        g = A.T.dot(r)
+    return x
 
 
 def _kkt_residual(psi, r, xi, B, d):

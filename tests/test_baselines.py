@@ -150,6 +150,14 @@ def test_gp_fit_records_costs():
     assert np.all(fit.lower <= fit.upper)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_gp_fit_rejects_bad_level(level):
+    cfg = GpConfig(burnin=2, samples=2, seed=0)
+    with pytest.raises(ValueError, match="level must be in"):
+        rescaled_gp_fit(sine_data(10, seed=1), cfg, np.linspace(0, 1, 5),
+                        level=level)
+
+
 def test_gp_fit_deterministic():
     data = sine_data(30, seed=22)
     cfg = GpConfig(burnin=20, samples=20, seed=5)

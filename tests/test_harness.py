@@ -109,6 +109,14 @@ def test_run_coverage_rejects_unknown_estimator():
         run_coverage(ScenarioSpec(replicates=1), estimators=("spline",))
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_scenario_rejects_bad_level(level):
+    with pytest.raises(ValueError, match="level must be in"):
+        run_coverage(ScenarioSpec(n=20, replicates=2, grid_size=5,
+                                  truth_terms=100, K=2, burnin=2, samples=2,
+                                  level=level), estimators=("conjugate",))
+
+
 def test_run_benchmark_smoke():
     spec = ScenarioSpec(truth="volterra", n=80, noise_sd=0.3, base_seed=2,
                         grid_size=60, truth_terms=5000, K=3,

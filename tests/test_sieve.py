@@ -47,6 +47,50 @@ def test_box_solver_handles_zero_columns(rng):
     assert xi[2] == 0.0
 
 
+@pytest.mark.parametrize("B", [np.nan, -1.0, -np.inf])
+def test_box_solver_rejects_bad_B(B):
+    psi = np.random.default_rng(0).normal(size=(10, 3))
+    with pytest.raises(ValueError, match="B >= 0"):
+        solve_xi_box(np.ones(10), psi, B)
+
+
+@pytest.mark.parametrize("binds", ["none", "some", "all"])
+@pytest.mark.parametrize("shape", ["well_posed", "wide", "rank_deficient"])
+@pytest.mark.parametrize("factor", [False, True])
+def test_bvls_port_matches_scipy_byte_for_byte(shape, binds, factor):
+    # sieve._bvls against the scipy routine it ports, on the dense problem
+    # and on the triangular [A | b] factor that solve_xi_box hands it, with
+    # the box cutting none, some or all of the least-squares solution's
+    # coordinates
+    rng = np.random.default_rng(["well_posed", "wide", "rank_deficient"]
+                                .index(shape))
+    cut = []
+    for _ in range(40):
+        n, k = int(rng.integers(12, 41)), int(rng.integers(2, 11))
+        if shape == "wide":
+            n, k = k, n
+        A = rng.normal(size=(n, k))
+        if shape == "rank_deficient":
+            A[:, 1::3] = A[:, :1] * rng.normal(size=(k + 1) // 3)
+        b = 3.0 * rng.normal(size=n)
+        if factor:
+            ra = np.linalg.qr(np.column_stack([A, b]), mode="r")
+            A, b = ra[:, :-1], ra[:, -1]
+        ls = np.abs(np.linalg.lstsq(A, b, rcond=-1)[0])
+        B = {"none": 2.0 * ls.max(), "some": 0.4 * ls.max(),
+             "all": 0.5 * ls.min()}[binds]
+        x = sieve._bvls(A, b, B)
+        ref = lsq_linear(A, b, bounds=(-B, B), method="bvls").x
+        assert x.tobytes() == ref.tobytes()
+        cut.append(np.mean(ls > B))
+    if binds == "none":
+        assert max(cut) == 0.0
+    elif binds == "all":
+        assert min(cut) == 1.0
+    else:
+        assert 0.0 < np.mean(cut) < 1.0
+
+
 def _solve_xi_box_dense(y, psi, B, tol=1e-10, max_sweeps=200):
     # reference: solve_xi_box with the active set and the polish run on the
     # dense n-row basis instead of the triangular factor of [psi | y]
